@@ -341,33 +341,24 @@ fn aggregate(n: usize, outcomes: &[RepetitionOutcome]) -> SweepRow {
     }
 }
 
-/// Runs the paper's error-vs-n sweep on a prepared study.
+/// Runs the paper's error-vs-n sweep on a prepared study: the
+/// single-threaded [`run_error_sweep_parallel`].
 ///
 /// Each repetition draws its RNG from a deterministic per-`(n, rep)` seed,
-/// so results are reproducible and identical to
-/// [`run_error_sweep_parallel`].
+/// so results are reproducible and identical at every thread count.
 ///
 /// # Errors
 ///
 /// Propagates configuration validation and estimation failures.
 pub fn run_error_sweep(study: &PreparedStudy, config: &SweepConfig) -> Result<SweepResult> {
-    config.validate(study.late_pool.nrows())?;
-    let mut rows = Vec::with_capacity(config.sample_sizes.len());
-    for &n in &config.sample_sizes {
-        let outcomes: Result<Vec<RepetitionOutcome>> = (0..config.repetitions)
-            .map(|rep| run_repetition(study, config, n, rep))
-            .collect();
-        rows.push(aggregate(n, &outcomes?));
-    }
-    Ok(SweepResult { rows })
+    run_error_sweep_parallel(study, config, 1)
 }
 
-/// Multi-threaded version of [`run_error_sweep`]: repetitions are
-/// distributed over `threads` scoped workers via
-/// [`parallel::map_range`]. Because every repetition owns a deterministic
-/// seed, the result is **bit-identical** to the sequential run regardless
-/// of scheduling; `threads` may exceed the repetition count (the surplus
-/// workers are simply not spawned).
+/// The error-vs-n sweep with repetitions distributed over `threads`
+/// scoped workers via [`parallel::map_range`]. Because every repetition
+/// owns a deterministic seed, the result is **bit-identical** for every
+/// thread count regardless of scheduling; `threads` may exceed the
+/// repetition count (the surplus workers are simply not spawned).
 ///
 /// # Errors
 ///

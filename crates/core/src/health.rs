@@ -16,24 +16,24 @@
 
 use crate::cv::HyperParameterSelection;
 use crate::guard::DataQualityReport;
+use crate::suffstats::SufficientStats;
 use crate::{MomentEstimate, Result};
-use bmf_linalg::{Cholesky, Matrix, SymmetricEigen};
+use bmf_linalg::{Cholesky, SymmetricEigen};
 use bmf_obs::health::{
     classify_conflict, classify_data_quality, classify_shrinkage, classify_spectrum,
     CovarianceSpectrum, DataQualityHealth, EffectiveSampleSize, HealthReport, PriorDataConflict,
 };
-use bmf_stats::descriptive;
 use bmf_stats::special::chi_squared_cdf;
 
 /// Computes the [`HealthReport`] for one fusion run.
 ///
 /// * `early` — the (possibly repaired) early-stage moments used as the
 ///   prior's location and scale.
-/// * `late_samples` — the screened late-stage sample matrix the
-///   posterior was fit on (`n × d`).
+/// * `late` — the sufficient statistics `(n, X̄, S)` of the screened
+///   late-stage samples the posterior was fit on.
 /// * `kappa0`, `nu0` — the hyper-parameters actually used.
 /// * `selection` — the full CV selection when the grid search ran;
-///   `None` when the pipeline fell back to defaults.
+///   `None` when the pipeline used pinned or default hyper-parameters.
 /// * `data_quality` — the guard's findings for the late-stage data.
 /// * `estimate` — the fused moment estimate whose covariance spectrum
 ///   is examined.
@@ -41,75 +41,19 @@ use bmf_stats::special::chi_squared_cdf;
 /// # Errors
 ///
 /// Propagates failures from the Cholesky factorization of the early
-/// covariance, the eigendecomposition of the fused covariance, or the
-/// sample-mean computation. Callers treat an error as "health
-/// unavailable", not as a pipeline failure.
+/// covariance or the eigendecomposition of the fused covariance.
+/// Callers treat an error as "health unavailable", not as a pipeline
+/// failure.
 pub fn assess(
     early: &MomentEstimate,
-    late_samples: &Matrix,
+    late: &SufficientStats,
     kappa0: f64,
     nu0: f64,
     selection: Option<&HyperParameterSelection>,
     data_quality: &DataQualityReport,
     estimate: &MomentEstimate,
 ) -> Result<HealthReport> {
-    let x_bar = descriptive::mean_vector(late_samples)?;
-    assess_at_mean(
-        early,
-        &x_bar,
-        late_samples.nrows(),
-        late_samples.ncols(),
-        kappa0,
-        nu0,
-        selection,
-        data_quality,
-        estimate,
-    )
-}
-
-/// [`assess`] for a stats-only input (sharded merge): identical math,
-/// with the sample mean taken from the reduced statistics instead of a
-/// sample matrix. The data-quality verdict reflects upstream drops via
-/// [`SufficientStats::data_quality`](crate::suffstats::SufficientStats::data_quality)
-/// counts.
-///
-/// # Errors
-///
-/// As [`assess`].
-pub fn assess_from_stats(
-    early: &MomentEstimate,
-    stats: &crate::suffstats::SufficientStats,
-    kappa0: f64,
-    nu0: f64,
-    selection: Option<&HyperParameterSelection>,
-    data_quality: &DataQualityReport,
-    estimate: &MomentEstimate,
-) -> Result<HealthReport> {
-    assess_at_mean(
-        early,
-        &stats.mean,
-        stats.n,
-        stats.dim(),
-        kappa0,
-        nu0,
-        selection,
-        data_quality,
-        estimate,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn assess_at_mean(
-    early: &MomentEstimate,
-    x_bar: &bmf_linalg::Vector,
-    n: usize,
-    d: usize,
-    kappa0: f64,
-    nu0: f64,
-    selection: Option<&HyperParameterSelection>,
-    data_quality: &DataQualityReport,
-    estimate: &MomentEstimate,
-) -> Result<HealthReport> {
+    let (n, d) = (late.n, late.dim());
     // Prior–data conflict: under the prior predictive the late-stage
     // sample mean is distributed around μ₀ with covariance
     // (1/κ₀ + 1/n)·Σ_E (paper Eq. 12–14 with the Wishart scale taken at
@@ -118,7 +62,7 @@ fn assess_at_mean(
     // and the data disagree about where the metrics live — exactly the
     // decorrelated-population failure mode MPME warns about.
     let chol_early = Cholesky::new(&early.cov)?;
-    let raw_d2 = chol_early.mahalanobis_sq(x_bar, &early.mean)?;
+    let raw_d2 = chol_early.mahalanobis_sq(&late.mean, &early.mean)?;
     let inflation = 1.0 / kappa0 + 1.0 / n as f64;
     let mahalanobis_sq = raw_d2 / inflation;
     let p_value = if mahalanobis_sq.is_finite() {
@@ -184,8 +128,9 @@ fn assess_at_mean(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmf_linalg::Vector;
+    use bmf_linalg::{Matrix, Vector};
     use bmf_obs::health::Severity;
+    use bmf_stats::descriptive;
     use rand::rngs::StdRng;
     use rand::Rng;
     use rand::SeedableRng;
@@ -204,6 +149,10 @@ mod tests {
         }
     }
 
+    fn stats_of(samples: &Matrix) -> SufficientStats {
+        SufficientStats::from_samples(samples).unwrap()
+    }
+
     #[test]
     fn agreeing_prior_scores_ok_conflict() {
         let d = 3;
@@ -212,7 +161,7 @@ mod tests {
         let estimate = moments_of(&late);
         let report = assess(
             &early,
-            &late,
+            &stats_of(&late),
             8.0,
             (d + 2) as f64,
             None,
@@ -245,7 +194,7 @@ mod tests {
         let estimate = moments_of(&late);
         let report = assess(
             &early,
-            &late,
+            &stats_of(&late),
             8.0,
             (d + 2) as f64,
             None,
@@ -273,7 +222,7 @@ mod tests {
         let estimate = moments_of(&late);
         let report = assess(
             &early,
-            &late,
+            &stats_of(&late),
             1e7,
             (d + 2) as f64,
             None,
@@ -294,6 +243,7 @@ mod tests {
         let early = moments_of(&synthetic_samples(d, 200, 3, 0.0));
         let late = synthetic_samples(d, 20, 4, 0.0);
         let estimate = moments_of(&late);
+        let late = stats_of(&late);
         let dq = DataQualityReport {
             rows_in: 30,
             rows_out: 20,
@@ -318,7 +268,7 @@ mod tests {
         };
         let report = assess(
             &early,
-            &late,
+            &stats_of(&late),
             4.0,
             (d + 2) as f64,
             None,

@@ -1,8 +1,8 @@
 //! Maximum-likelihood moment estimation — the paper's baseline (Eq. 10–11).
 
-use crate::{BmfError, MomentEstimate, Result};
+use crate::suffstats::SufficientStats;
+use crate::{MomentEstimate, Result};
 use bmf_linalg::Matrix;
-use bmf_stats::descriptive;
 
 /// The traditional MLE estimator: sample mean and biased sample covariance.
 ///
@@ -34,45 +34,26 @@ impl MleEstimator {
         MleEstimator
     }
 
-    /// Estimates the moments of an `n × d` sample matrix.
+    /// Estimates the moments of an `n × d` sample matrix by reducing it
+    /// to [`SufficientStats`] and delegating to
+    /// [`Self::estimate_from_stats`], so both entry points agree
+    /// bit-for-bit.
     ///
     /// # Errors
     ///
-    /// Returns [`BmfError::InvalidSamples`] for an empty matrix or
+    /// Returns [`crate::BmfError::InvalidSamples`] for an empty matrix or
     /// non-finite entries.
     pub fn estimate(&self, samples: &Matrix) -> Result<MomentEstimate> {
-        if samples.nrows() == 0 || samples.ncols() == 0 {
-            return Err(BmfError::InvalidSamples {
-                reason: format!(
-                    "need at least one sample and one metric, got {}x{}",
-                    samples.nrows(),
-                    samples.ncols()
-                ),
-            });
-        }
-        if !samples.is_finite() {
-            return Err(BmfError::InvalidSamples {
-                reason: "sample matrix contains non-finite entries".to_string(),
-            });
-        }
-        let mean = descriptive::mean_vector(samples)?;
-        let cov = descriptive::covariance_mle(samples)?;
-        let est = MomentEstimate { mean, cov };
-        est.validate()?;
-        Ok(est)
+        self.estimate_from_stats(&SufficientStats::from_samples(samples)?)
     }
 
     /// Estimates the moments from sufficient statistics `(n, X̄, S)`:
-    /// `μ_MLE = X̄`, `Σ_MLE = S/n` — the stats-path twin of
-    /// [`Self::estimate`] used by sharded merges.
+    /// `μ_MLE = X̄`, `Σ_MLE = S/n`.
     ///
     /// # Errors
     ///
-    /// Returns [`BmfError::InvalidSamples`] for invalid statistics.
-    pub fn estimate_from_stats(
-        &self,
-        stats: &crate::suffstats::SufficientStats,
-    ) -> Result<MomentEstimate> {
+    /// Returns [`crate::BmfError::InvalidSamples`] for invalid statistics.
+    pub fn estimate_from_stats(&self, stats: &SufficientStats) -> Result<MomentEstimate> {
         stats.validate()?;
         let est = MomentEstimate {
             mean: stats.mean.clone(),
@@ -98,6 +79,33 @@ mod tests {
         // biased covariance = scatter/3 = [[8/3, 4/3], [4/3, 8/3]]
         assert!((est.cov[(0, 0)] - 8.0 / 3.0).abs() < 1e-14);
         assert!((est.cov[(0, 1)] - 4.0 / 3.0).abs() < 1e-14);
+    }
+
+    #[test]
+    fn estimate_and_estimate_from_stats_are_bit_identical() {
+        let truth = MultivariateNormal::new(
+            Vector::from_slice(&[0.3, -1.2, 4.0]),
+            Matrix::from_rows(&[&[1.0, 0.3, 0.1], &[0.3, 2.0, 0.4], &[0.1, 0.4, 1.5]]).unwrap(),
+        )
+        .unwrap();
+        let samples = truth.sample_matrix(&mut rand::rngs::StdRng::seed_from_u64(3), 11);
+        let mle = MleEstimator::new();
+        let from_samples = mle.estimate(&samples).unwrap();
+        let stats = SufficientStats::from_samples(&samples).unwrap();
+        let from_stats = mle.estimate_from_stats(&stats).unwrap();
+        let bits = |est: &MomentEstimate| -> Vec<u64> {
+            est.mean
+                .iter()
+                .chain(est.cov.as_slice())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&from_samples), bits(&from_stats));
+        // The baseline's own definition (Eq. 10–11) lands on the same bits.
+        assert_eq!(
+            from_samples.cov,
+            bmf_stats::descriptive::covariance_mle(&samples).unwrap()
+        );
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! 4. **early-only** — when even MLE is impossible (e.g. every late row
 //!    was dropped by the guard), return the early-stage moments.
 //!
+//! Both entry points — [`RobustPipeline::estimate`] on a sample matrix
+//! and [`RobustPipeline::estimate_from_stats`] on a shard merge's
+//! `(n, X̄, S)` — run this one ladder over sufficient statistics; the
+//! rows matter only to the guard and to cross-validation.
+//!
 //! Two failure modes select between *fail loudly* and *degrade loudly*:
 //! [`FailureMode::Strict`] turns any repair, dropped row or fallback into
 //! a typed error; [`FailureMode::Degrade`] walks the ladder and reports
@@ -28,8 +33,10 @@ use crate::guard::{self, DataQualityReport, GuardPolicy};
 use crate::map::BmfEstimator;
 use crate::mle::MleEstimator;
 use crate::prior::NormalWishartPrior;
+use crate::suffstats::SufficientStats;
 use crate::{BmfError, MomentEstimate, Result};
 use bmf_linalg::{Cholesky, Matrix, SpdRepair};
+use std::time::Instant;
 
 /// How the pipeline responds to anomalies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +165,26 @@ fn json_indices(idx: &[usize]) -> String {
 }
 
 impl FusionReport {
+    /// The report every estimate starts from: the late data's quality,
+    /// the happy-path rung and nothing else. The pipeline stages fill in
+    /// the rest as they run.
+    fn for_data(data_quality: DataQualityReport) -> FusionReport {
+        FusionReport {
+            data_quality,
+            prior_condition: f64::NAN,
+            prior_repair: SpdRepair::None,
+            selection: None,
+            fallback: FallbackLevel::Map,
+            fallback_reason: None,
+            notes: Vec::new(),
+            timings: StageTimings::default(),
+            counters: Vec::new(),
+            health: None,
+            run_id: None,
+            shard: None,
+        }
+    }
+
     /// Serializes the report as a self-contained JSON object (hand-rolled
     /// — the workspace's serde is a marker facade; see `vendor/README.md`).
     pub fn to_json(&self) -> String {
@@ -383,6 +410,11 @@ impl RobustPipeline {
 
     /// Runs the full guarded, self-healing estimation.
     ///
+    /// Screens the late samples, reduces the cleaned rows to
+    /// [`SufficientStats`] and hands them to the same ladder
+    /// [`Self::estimate_from_stats`] runs; the rows go along only so the
+    /// ladder can cross-validate `(κ₀, ν₀)` on them.
+    ///
     /// Returns the moment estimate and the [`FusionReport`] explaining
     /// how it was produced. In [`FailureMode::Strict`], any anomaly
     /// (dropped rows, non-finite cells, constant columns, prior repair,
@@ -401,12 +433,69 @@ impl RobustPipeline {
         early: &MomentEstimate,
         late_samples: &Matrix,
     ) -> Result<(MomentEstimate, FusionReport)> {
-        let _span = bmf_obs::span("pipeline.estimate");
-        let started = std::time::Instant::now();
-        let before = bmf_obs::is_enabled().then(bmf_obs::metrics::snapshot);
-        let mut timings = StageTimings::default();
-        let result = self.estimate_inner(early, late_samples, &mut timings);
-        self.finalize(result, started, before, timings)
+        self.run("pipeline.estimate", |timings| {
+            self.guard.validate()?;
+            // The early moments are the last rung of the ladder; if they
+            // are structurally broken there is nothing to return at any
+            // rung.
+            early.validate()?;
+            if late_samples.ncols() != early.dim() {
+                return Err(BmfError::InvalidSamples {
+                    reason: format!(
+                        "late samples have {} columns but early moments are {}-dimensional",
+                        late_samples.ncols(),
+                        early.dim()
+                    ),
+                });
+            }
+
+            // ── Data-quality guard on the late samples. ──────────────
+            let guard_span = bmf_obs::span("pipeline.guard");
+            let stage_start = Instant::now();
+            let screened = guard::screen(late_samples, &self.guard);
+            timings.guard_ns = stage_start.elapsed().as_nanos() as u64;
+            drop(guard_span);
+            let (cleaned, dq) = match screened {
+                Ok(ok) => ok,
+                Err(e) => {
+                    if self.mode == FailureMode::Strict {
+                        return Err(e);
+                    }
+                    // No usable late data at all → early-only rung.
+                    bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
+                    bmf_obs::event!(Warn, "ladder.transition",
+                        "from": "map", "to": "early_only", "cause": e.to_string());
+                    let mut report = FusionReport::for_data(DataQualityReport {
+                        rows_in: late_samples.nrows(),
+                        rows_out: 0,
+                        ..DataQualityReport::default()
+                    });
+                    report.prior_condition = bmf_linalg::condition_number(&early.cov)?;
+                    report.fallback = FallbackLevel::EarlyOnly;
+                    report.fallback_reason = Some(format!("late-stage data unusable: {e}"));
+                    return Ok((early.clone(), report));
+                }
+            };
+            if self.mode == FailureMode::Strict {
+                if !dq.dropped_rows.is_empty() || !dq.nonfinite_cells.is_empty() {
+                    return Err(BmfError::InvalidSamples {
+                        reason: format!("strict mode: late-stage data is dirty ({})", dq.summary()),
+                    });
+                }
+                if !dq.constant_columns.is_empty() {
+                    return Err(BmfError::InvalidSamples {
+                        reason: format!(
+                            "strict mode: constant late-stage column(s) {:?}",
+                            dq.constant_columns
+                        ),
+                    });
+                }
+            }
+
+            let late = SufficientStats::from_samples(&cleaned)?;
+            let report = FusionReport::for_data(dq);
+            self.ladder(early, &late, Some(&cleaned), report, timings)
+        })
     }
 
     /// [`Self::estimate`] for sufficient statistics instead of a sample
@@ -431,24 +520,81 @@ impl RobustPipeline {
     pub fn estimate_from_stats(
         &self,
         early: &MomentEstimate,
-        late: &crate::suffstats::SufficientStats,
+        late: &SufficientStats,
         shard: Option<bmf_obs::ShardCoverage>,
     ) -> Result<(MomentEstimate, FusionReport)> {
-        let _span = bmf_obs::span("pipeline.estimate_from_stats");
-        let started = std::time::Instant::now();
-        let before = bmf_obs::is_enabled().then(bmf_obs::metrics::snapshot);
-        let mut timings = StageTimings::default();
-        let result = self.estimate_from_stats_inner(early, late, shard, &mut timings);
-        self.finalize(result, started, before, timings)
+        self.run("pipeline.estimate_from_stats", |timings| {
+            early.validate()?;
+            late.validate()?;
+            if late.dim() != early.dim() {
+                return Err(BmfError::InvalidSamples {
+                    reason: format!(
+                        "late statistics are {}-dimensional but early moments are {}-dimensional",
+                        late.dim(),
+                        early.dim()
+                    ),
+                });
+            }
+
+            // ── Upstream-guard residue + shard coverage policy. ──────
+            let stage_start = Instant::now();
+            let mut report = FusionReport::for_data(late.data_quality());
+            if late.dropped > 0 {
+                if self.mode == FailureMode::Strict {
+                    return Err(BmfError::InvalidSamples {
+                        reason: format!(
+                            "strict mode: {} late-stage row(s) were screened out upstream ({})",
+                            late.dropped,
+                            report.data_quality.summary()
+                        ),
+                    });
+                }
+                report.notes.push(format!(
+                    "{} late-stage row(s) screened out upstream of the merge",
+                    late.dropped
+                ));
+            }
+            if let Some(cov) = shard.as_ref().filter(|cov| !cov.is_complete()) {
+                if self.mode == FailureMode::Strict {
+                    return Err(BmfError::InvalidSamples {
+                        reason: format!(
+                            "strict mode: shard coverage incomplete ({})",
+                            cov.summary()
+                        ),
+                    });
+                }
+                report.notes.push(format!(
+                    "degraded merge: {} of {} shards; late-sample uncertainty inflated x{:.4}",
+                    cov.merged, cov.shard_count, cov.inflation
+                ));
+            }
+            report.shard = shard;
+            timings.guard_ns = stage_start.elapsed().as_nanos() as u64;
+
+            self.ladder(early, late, None, report, timings)
+        })
     }
 
-    fn finalize(
+    /// Runs one estimation under its span: checks the thread count,
+    /// stamps total time, counter deltas and the run id into the report,
+    /// and preserves the flight recorder when the run degraded past MAP
+    /// or failed in strict mode.
+    fn run(
         &self,
-        mut result: Result<(MomentEstimate, FusionReport)>,
-        started: std::time::Instant,
-        before: Option<bmf_obs::MetricsSnapshot>,
-        mut timings: StageTimings,
+        span: &'static str,
+        body: impl FnOnce(&mut StageTimings) -> Result<(MomentEstimate, FusionReport)>,
     ) -> Result<(MomentEstimate, FusionReport)> {
+        let _span = bmf_obs::span(span);
+        let started = Instant::now();
+        let before = bmf_obs::is_enabled().then(bmf_obs::metrics::snapshot);
+        let mut timings = StageTimings::default();
+        let mut result = if self.threads == 0 {
+            Err(BmfError::InvalidConfig {
+                reason: "robust pipeline needs at least one worker thread".to_string(),
+            })
+        } else {
+            body(&mut timings)
+        };
         match result.as_mut() {
             Ok((_, report)) => {
                 timings.total_ns = started.elapsed().as_nanos() as u64;
@@ -479,71 +625,24 @@ impl RobustPipeline {
         result
     }
 
-    fn estimate_from_stats_inner(
+    /// The one estimation ladder, on sufficient statistics: prior
+    /// conditioning → hyper-parameters → MAP → MLE → early-only.
+    ///
+    /// `cv_rows` are the screened samples `late` was reduced from, when
+    /// the caller has them: cross-validation is the only stage that needs
+    /// rows. Without them the hyper-parameters are the pinned pair or the
+    /// defaults `κ₀ = 1, ν₀ = d + 2`.
+    fn ladder(
         &self,
         early: &MomentEstimate,
-        late: &crate::suffstats::SufficientStats,
-        shard: Option<bmf_obs::ShardCoverage>,
+        late: &SufficientStats,
+        cv_rows: Option<&Matrix>,
+        mut report: FusionReport,
         timings: &mut StageTimings,
     ) -> Result<(MomentEstimate, FusionReport)> {
-        if self.threads == 0 {
-            return Err(BmfError::InvalidConfig {
-                reason: "robust pipeline needs at least one worker thread".to_string(),
-            });
-        }
-        early.validate()?;
-        late.validate()?;
-        if late.dim() != early.dim() {
-            return Err(BmfError::InvalidSamples {
-                reason: format!(
-                    "late statistics are {}-dimensional but early moments are {}-dimensional",
-                    late.dim(),
-                    early.dim()
-                ),
-            });
-        }
-
-        let mut notes: Vec<String> = Vec::new();
-
-        // ── Stage 1: upstream-guard residue + shard coverage policy. ──
-        let stage_start = std::time::Instant::now();
-        let dq = late.data_quality();
-        if self.mode == FailureMode::Strict && late.dropped > 0 {
-            return Err(BmfError::InvalidSamples {
-                reason: format!(
-                    "strict mode: {} late-stage row(s) were screened out upstream ({})",
-                    late.dropped,
-                    dq.summary()
-                ),
-            });
-        }
-        if late.dropped > 0 {
-            notes.push(format!(
-                "{} late-stage row(s) screened out upstream of the merge",
-                late.dropped
-            ));
-        }
-        if let Some(cov) = &shard {
-            if !cov.is_complete() {
-                if self.mode == FailureMode::Strict {
-                    return Err(BmfError::InvalidSamples {
-                        reason: format!(
-                            "strict mode: shard coverage incomplete ({})",
-                            cov.summary()
-                        ),
-                    });
-                }
-                notes.push(format!(
-                    "degraded merge: {} of {} shards; late-sample uncertainty inflated x{:.4}",
-                    cov.merged, cov.shard_count, cov.inflation
-                ));
-            }
-        }
-        timings.guard_ns = stage_start.elapsed().as_nanos() as u64;
-
-        // ── Stage 2: prior conditioning (same ladder as the sample path).
+        // ── Prior conditioning. ───────────────────────────────────────
         let prior_span = bmf_obs::span("pipeline.prior");
-        let stage_start = std::time::Instant::now();
+        let stage_start = Instant::now();
         let prior_condition = bmf_linalg::condition_number(&early.cov)?;
         let repaired = Cholesky::new_with_repair(&early.cov)?;
         timings.prior_ns = stage_start.elapsed().as_nanos() as u64;
@@ -557,6 +656,8 @@ impl RobustPipeline {
                 ),
             });
         }
+        report.prior_condition = prior_condition;
+        report.prior_repair = prior_repair;
         let effective_early = if prior_repair.is_repaired() {
             MomentEstimate {
                 mean: early.mean.clone(),
@@ -566,83 +667,65 @@ impl RobustPipeline {
             early.clone()
         };
 
-        // ── Stage 3: hyper-parameters (CV needs raw samples). ─────────
-        let d = early.dim() as f64;
-        let (kappa0, nu0) = match self.fixed_hypers {
-            Some(h) => h,
-            None => {
-                notes.push(
+        // ── Hyper-parameters: pinned, cross-validated or defaults. ────
+        let stage_start = Instant::now();
+        // Keep the full selection (grid + per-point scores) alive for the
+        // health assessment's CV-surface summary; the report only stores
+        // the chosen (κ₀, ν₀) pair.
+        let cv = match (self.fixed_hypers, cv_rows) {
+            (Some(_), _) => None,
+            (None, Some(rows)) => {
+                match self
+                    .cv
+                    .select_seeded(&effective_early, rows, self.seed, self.threads)
+                {
+                    Ok(sel) => Some(sel),
+                    Err(e) if self.mode == FailureMode::Strict => return Err(e),
+                    Err(e) => {
+                        report.notes.push(format!(
+                            "cross-validation failed ({e}); using default hyper-parameters \
+                             kappa0 = 1, nu0 = d + 2"
+                        ));
+                        None
+                    }
+                }
+            }
+            (None, None) => {
+                report.notes.push(
                     "stats-only input: cross-validation unavailable; using default \
                      hyper-parameters kappa0 = 1, nu0 = d + 2"
                         .to_string(),
                 );
-                (1.0, d + 2.0)
+                None
             }
         };
+        timings.cv_ns = stage_start.elapsed().as_nanos() as u64;
+        report.selection = self
+            .fixed_hypers
+            .or_else(|| cv.as_ref().map(|sel| (sel.kappa0, sel.nu0)));
+        let (kappa0, nu0) = report.selection.unwrap_or((1.0, early.dim() as f64 + 2.0));
 
-        // ── Stage 4: the ladder. MAP → MLE → early-only. ─────────────
-        let stage_start = std::time::Instant::now();
+        // ── The ladder. MAP → MLE → early-only. ──────────────────────
+        let stage_start = Instant::now();
         let map_span = bmf_obs::span("ladder.map");
         let map_attempt = NormalWishartPrior::from_early_moments(&effective_early, kappa0, nu0)
             .and_then(|prior| BmfEstimator::new(prior)?.estimate_from_stats(late));
         drop(map_span);
-        let assess_health = |est: &MomentEstimate, notes: &mut Vec<String>| {
-            let _span = bmf_obs::span("pipeline.health");
-            match crate::health::assess_from_stats(
-                &effective_early,
-                late,
-                kappa0,
-                nu0,
-                None,
-                &dq,
-                est,
-            ) {
-                Ok(h) => {
-                    bmf_obs::serve::publish_health(&h);
-                    Some(h)
-                }
-                Err(e) => {
-                    notes.push(format!("health assessment unavailable: {e}"));
-                    None
-                }
+        let (estimate, fallback, fallback_reason) = match map_attempt {
+            Ok(est) if prior_repair.is_repaired() => {
+                bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
+                bmf_obs::event!(Info, "ladder.transition",
+                    "from": "map", "to": "map_repaired_prior",
+                    "cause": prior_repair.to_string());
+                (
+                    est.map,
+                    FallbackLevel::MapRepairedPrior,
+                    Some(format!("prior covariance repaired: {prior_repair}")),
+                )
             }
-        };
-        let result = match map_attempt {
-            Ok(est) => {
-                let fallback = if prior_repair.is_repaired() {
-                    bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                    bmf_obs::event!(Info, "ladder.transition",
-                        "from": "map", "to": "map_repaired_prior",
-                        "cause": prior_repair.to_string());
-                    FallbackLevel::MapRepairedPrior
-                } else {
-                    FallbackLevel::Map
-                };
-                let health = assess_health(&est.map, &mut notes);
-                let report = FusionReport {
-                    data_quality: dq,
-                    prior_condition,
-                    prior_repair,
-                    selection: self.fixed_hypers,
-                    fallback,
-                    fallback_reason: if prior_repair.is_repaired() {
-                        Some(format!("prior covariance repaired: {prior_repair}"))
-                    } else {
-                        None
-                    },
-                    notes,
-                    timings: StageTimings::default(),
-                    counters: Vec::new(),
-                    health,
-                    run_id: None,
-                    shard,
-                };
-                Ok((est.map, report))
-            }
+            Ok(est) => (est.map, FallbackLevel::Map, None),
+            Err(map_err) if self.mode == FailureMode::Strict => return Err(map_err),
             Err(map_err) => {
-                if self.mode == FailureMode::Strict {
-                    return Err(map_err);
-                }
                 bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
                 bmf_obs::event!(Warn, "ladder.transition",
                     "from": "map", "to": "mle", "cause": map_err.to_string());
@@ -650,314 +733,52 @@ impl RobustPipeline {
                 let mle_attempt = MleEstimator::new().estimate_from_stats(late);
                 drop(mle_span);
                 match mle_attempt {
-                    Ok(mle) => {
-                        let health = assess_health(&mle, &mut notes);
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection: self.fixed_hypers,
-                            fallback: FallbackLevel::Mle,
-                            fallback_reason: Some(format!("MAP estimation failed: {map_err}")),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health,
-                            run_id: None,
-                            shard,
-                        };
-                        Ok((mle, report))
-                    }
+                    Ok(mle) => (
+                        mle,
+                        FallbackLevel::Mle,
+                        Some(format!("MAP estimation failed: {map_err}")),
+                    ),
                     Err(mle_err) => {
                         bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
                         bmf_obs::event!(Error, "ladder.transition",
                             "from": "mle", "to": "early_only", "cause": mle_err.to_string());
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection: self.fixed_hypers,
-                            fallback: FallbackLevel::EarlyOnly,
-                            fallback_reason: Some(format!(
-                                "MAP failed ({map_err}); MLE failed ({mle_err})"
-                            )),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health: None,
-                            run_id: None,
-                            shard,
-                        };
-                        Ok((early.clone(), report))
+                        (
+                            early.clone(),
+                            FallbackLevel::EarlyOnly,
+                            Some(format!("MAP failed ({map_err}); MLE failed ({mle_err})")),
+                        )
                     }
                 }
             }
         };
-        timings.ladder_ns = stage_start.elapsed().as_nanos() as u64;
-        result
-    }
-
-    fn estimate_inner(
-        &self,
-        early: &MomentEstimate,
-        late_samples: &Matrix,
-        timings: &mut StageTimings,
-    ) -> Result<(MomentEstimate, FusionReport)> {
-        if self.threads == 0 {
-            return Err(BmfError::InvalidConfig {
-                reason: "robust pipeline needs at least one worker thread".to_string(),
-            });
-        }
-        self.guard.validate()?;
-        // The early moments are the last rung of the ladder; if they are
-        // structurally broken there is nothing to return at any rung.
-        early.validate()?;
-        if late_samples.ncols() != early.dim() {
-            return Err(BmfError::InvalidSamples {
-                reason: format!(
-                    "late samples have {} columns but early moments are {}-dimensional",
-                    late_samples.ncols(),
-                    early.dim()
-                ),
-            });
-        }
-
-        let mut notes: Vec<String> = Vec::new();
-
-        // ── Stage 1: data-quality guard on the late samples. ──────────
-        let guard_span = bmf_obs::span("pipeline.guard");
-        let stage_start = std::time::Instant::now();
-        let screened = guard::screen(late_samples, &self.guard);
-        timings.guard_ns = stage_start.elapsed().as_nanos() as u64;
-        drop(guard_span);
-        let (cleaned, dq) = match screened {
-            Ok(ok) => ok,
-            Err(e) => {
-                if self.mode == FailureMode::Strict {
-                    return Err(e);
-                }
-                // No usable late data at all → early-only rung.
-                bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                bmf_obs::event!(Warn, "ladder.transition",
-                    "from": "map", "to": "early_only", "cause": e.to_string());
-                let report = FusionReport {
-                    data_quality: DataQualityReport {
-                        rows_in: late_samples.nrows(),
-                        rows_out: 0,
-                        ..DataQualityReport::default()
-                    },
-                    prior_condition: bmf_linalg::condition_number(&early.cov)?,
-                    prior_repair: SpdRepair::None,
-                    selection: None,
-                    fallback: FallbackLevel::EarlyOnly,
-                    fallback_reason: Some(format!("late-stage data unusable: {e}")),
-                    notes,
-                    timings: StageTimings::default(),
-                    counters: Vec::new(),
-                    health: None,
-                    run_id: None,
-                    shard: None,
-                };
-                return Ok((early.clone(), report));
-            }
-        };
-        if self.mode == FailureMode::Strict {
-            if !dq.dropped_rows.is_empty() || !dq.nonfinite_cells.is_empty() {
-                return Err(BmfError::InvalidSamples {
-                    reason: format!("strict mode: late-stage data is dirty ({})", dq.summary()),
-                });
-            }
-            if !dq.constant_columns.is_empty() {
-                return Err(BmfError::InvalidSamples {
-                    reason: format!(
-                        "strict mode: constant late-stage column(s) {:?}",
-                        dq.constant_columns
-                    ),
-                });
-            }
-        }
-
-        // ── Stage 2: prior conditioning. ──────────────────────────────
-        let prior_span = bmf_obs::span("pipeline.prior");
-        let stage_start = std::time::Instant::now();
-        let prior_condition = bmf_linalg::condition_number(&early.cov)?;
-        let repaired = Cholesky::new_with_repair(&early.cov)?;
-        timings.prior_ns = stage_start.elapsed().as_nanos() as u64;
-        drop(prior_span);
-        let prior_repair = repaired.repair;
-        if self.mode == FailureMode::Strict && prior_repair.is_repaired() {
-            return Err(BmfError::InvalidMoments {
-                reason: format!(
-                    "strict mode: early-stage covariance needed repair ({prior_repair}), \
-                     condition = {prior_condition:.3e}"
-                ),
-            });
-        }
-        let effective_early = if prior_repair.is_repaired() {
-            MomentEstimate {
-                mean: early.mean.clone(),
-                cov: repaired.matrix,
-            }
-        } else {
-            early.clone()
-        };
-
-        // ── Stage 3: hyper-parameter selection (absorb CV failure). ───
-        let d = early.dim() as f64;
-        let stage_start = std::time::Instant::now();
-        // Pinned hyper-parameters skip CV entirely — the only option on
-        // the stats-only path, and the way to make a sharded merge and a
-        // single-process run select identically.
-        let selected = match self.fixed_hypers {
-            Some(_) => None,
-            None => {
-                Some(
-                    self.cv
-                        .select_seeded(&effective_early, &cleaned, self.seed, self.threads),
-                )
-            }
-        };
-        timings.cv_ns = stage_start.elapsed().as_nanos() as u64;
-        // Keep the full selection (grid + per-point scores) alive for the
-        // health assessment's CV-surface summary; the report only stores
-        // the chosen (κ₀, ν₀) pair.
-        let selection_full = match selected {
-            None => None,
-            Some(Ok(sel)) => Some(sel),
-            Some(Err(e)) => {
-                if self.mode == FailureMode::Strict {
-                    return Err(e);
-                }
-                notes.push(format!(
-                    "cross-validation failed ({e}); using default hyper-parameters \
-                     kappa0 = 1, nu0 = d + 2"
-                ));
-                None
-            }
-        };
-        let selection = self
-            .fixed_hypers
-            .or_else(|| selection_full.as_ref().map(|sel| (sel.kappa0, sel.nu0)));
-        let (kappa0, nu0) = selection.unwrap_or((1.0, d + 2.0));
-
-        // ── Stage 4: the ladder. MAP → MLE → early-only. ─────────────
-        let stage_start = std::time::Instant::now();
-        let map_span = bmf_obs::span("ladder.map");
-        let map_attempt = NormalWishartPrior::from_early_moments(&effective_early, kappa0, nu0)
-            .and_then(|prior| BmfEstimator::new(prior)?.estimate(&cleaned));
-        drop(map_span);
-        // Health assessment of a fused estimate. Read-only (no RNG, no
-        // feedback into the estimate); a failure degrades to "health
-        // unavailable" with a note rather than sinking the pipeline.
-        let assess_health = |est: &MomentEstimate, notes: &mut Vec<String>| {
+        // Health assessment of a fused estimate (early-only has none).
+        // Read-only (no RNG, no feedback into the estimate); a failure
+        // degrades to "health unavailable" with a note rather than
+        // sinking the pipeline.
+        if fallback != FallbackLevel::EarlyOnly {
             let _span = bmf_obs::span("pipeline.health");
             match crate::health::assess(
                 &effective_early,
-                &cleaned,
+                late,
                 kappa0,
                 nu0,
-                selection_full.as_ref(),
-                &dq,
-                est,
+                cv.as_ref(),
+                &report.data_quality,
+                &estimate,
             ) {
                 Ok(h) => {
                     bmf_obs::serve::publish_health(&h);
-                    Some(h)
+                    report.health = Some(h);
                 }
-                Err(e) => {
-                    notes.push(format!("health assessment unavailable: {e}"));
-                    None
-                }
+                Err(e) => report
+                    .notes
+                    .push(format!("health assessment unavailable: {e}")),
             }
-        };
-        let result = match map_attempt {
-            Ok(est) => {
-                let fallback = if prior_repair.is_repaired() {
-                    bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                    bmf_obs::event!(Info, "ladder.transition",
-                        "from": "map", "to": "map_repaired_prior",
-                        "cause": prior_repair.to_string());
-                    FallbackLevel::MapRepairedPrior
-                } else {
-                    FallbackLevel::Map
-                };
-                let health = assess_health(&est.map, &mut notes);
-                let report = FusionReport {
-                    data_quality: dq,
-                    prior_condition,
-                    prior_repair,
-                    selection,
-                    fallback,
-                    fallback_reason: if prior_repair.is_repaired() {
-                        Some(format!("prior covariance repaired: {prior_repair}"))
-                    } else {
-                        None
-                    },
-                    notes,
-                    timings: StageTimings::default(),
-                    counters: Vec::new(),
-                    health,
-                    run_id: None,
-                    shard: None,
-                };
-                Ok((est.map, report))
-            }
-            Err(map_err) => {
-                if self.mode == FailureMode::Strict {
-                    return Err(map_err);
-                }
-                bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                bmf_obs::event!(Warn, "ladder.transition",
-                    "from": "map", "to": "mle", "cause": map_err.to_string());
-                let mle_span = bmf_obs::span("ladder.mle");
-                let mle_attempt = MleEstimator::new().estimate(&cleaned);
-                drop(mle_span);
-                match mle_attempt {
-                    Ok(mle) => {
-                        let health = assess_health(&mle, &mut notes);
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection,
-                            fallback: FallbackLevel::Mle,
-                            fallback_reason: Some(format!("MAP estimation failed: {map_err}")),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health,
-                            run_id: None,
-                            shard: None,
-                        };
-                        Ok((mle, report))
-                    }
-                    Err(mle_err) => {
-                        bmf_obs::counters::LADDER_RUNG_TRANSITIONS.incr();
-                        bmf_obs::event!(Error, "ladder.transition",
-                            "from": "mle", "to": "early_only", "cause": mle_err.to_string());
-                        let report = FusionReport {
-                            data_quality: dq,
-                            prior_condition,
-                            prior_repair,
-                            selection,
-                            fallback: FallbackLevel::EarlyOnly,
-                            fallback_reason: Some(format!(
-                                "MAP failed ({map_err}); MLE failed ({mle_err})"
-                            )),
-                            notes,
-                            timings: StageTimings::default(),
-                            counters: Vec::new(),
-                            health: None,
-                            run_id: None,
-                            shard: None,
-                        };
-                        Ok((early.clone(), report))
-                    }
-                }
-            }
-        };
+        }
+        report.fallback = fallback;
+        report.fallback_reason = fallback_reason;
         timings.ladder_ns = stage_start.elapsed().as_nanos() as u64;
-        result
+        Ok((estimate, report))
     }
 }
 
@@ -1156,16 +977,47 @@ mod tests {
     #[test]
     fn stats_path_matches_sample_path_with_fixed_hypers() {
         let late = clean_late(16, 14);
-        let stats = crate::suffstats::SufficientStats::from_samples(&late).unwrap();
-        let p = RobustPipeline::new().with_fixed_hypers(2.0, 8.0);
-        let (a, ra) = p.estimate(&early(), &late).unwrap();
-        let (b, rb) = p.estimate_from_stats(&early(), &stats, None).unwrap();
-        assert_eq!(a, b, "sample and stats paths must agree bit-for-bit");
-        assert_eq!(ra.fallback, rb.fallback);
-        assert_eq!(ra.selection, Some((2.0, 8.0)));
-        assert_eq!(rb.selection, Some((2.0, 8.0)));
-        assert!(rb.shard.is_none());
-        assert!(rb.health.is_some());
+        let stats = SufficientStats::from_samples(&late).unwrap();
+        let singular = MomentEstimate {
+            mean: Vector::zeros(2),
+            cov: Matrix::outer(&Vector::from_slice(&[1.0, 1.0])), // rank 1
+        };
+        // (early moments, pinned (κ₀, ν₀), the rung both paths reach)
+        let cases = [
+            (early(), (2.0, 8.0), FallbackLevel::Map),
+            (singular, (2.0, 8.0), FallbackLevel::MapRepairedPrior),
+            // ν₀ ≤ d admits no prior, so MAP fails and MLE answers.
+            (early(), (2.0, 1.5), FallbackLevel::Mle),
+        ];
+        let bits = |m: &MomentEstimate| -> Vec<u64> {
+            m.mean
+                .iter()
+                .chain(m.cov.as_slice())
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        for (early, (kappa0, nu0), rung) in cases {
+            let p = RobustPipeline::new().with_fixed_hypers(kappa0, nu0);
+            let (a, ra) = p.estimate(&early, &late).unwrap();
+            let (b, rb) = p.estimate_from_stats(&early, &stats, None).unwrap();
+            assert_eq!(ra.fallback, rung);
+            assert_eq!(bits(&a), bits(&b), "{rung}: sample and stats paths differ");
+            assert_eq!(ra.fallback, rb.fallback, "{rung}");
+            assert_eq!(ra.fallback_reason, rb.fallback_reason, "{rung}");
+            assert_eq!(ra.selection, Some((kappa0, nu0)), "{rung}");
+            assert_eq!(ra.selection, rb.selection, "{rung}");
+            assert_eq!(ra.prior_repair, rb.prior_repair, "{rung}");
+            assert_eq!(
+                ra.prior_condition.to_bits(),
+                rb.prior_condition.to_bits(),
+                "{rung}"
+            );
+            assert_eq!(ra.data_quality, rb.data_quality, "{rung}");
+            assert_eq!(ra.notes, rb.notes, "{rung}");
+            assert!(ra.health.is_some(), "{rung}");
+            assert_eq!(ra.health, rb.health, "{rung}");
+            assert!(rb.shard.is_none());
+        }
         // Without pinned hypers the stats path falls back to defaults
         // and says so.
         let (_, r) = RobustPipeline::new()
@@ -1181,7 +1033,7 @@ mod tests {
     #[test]
     fn shard_coverage_is_reported_and_enforced() {
         let late = clean_late(16, 15);
-        let stats = crate::suffstats::SufficientStats::from_samples(&late).unwrap();
+        let stats = SufficientStats::from_samples(&late).unwrap();
         let degraded = bmf_obs::ShardCoverage {
             shard_count: 4,
             merged: 3,

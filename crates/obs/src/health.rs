@@ -3,7 +3,9 @@
 //! This module holds the *vocabulary* of statistical health — plain
 //! serializable data types plus the documented thresholds that map raw
 //! diagnostics onto [`Severity`] levels. The *computation* lives in
-//! `bmf_core` (`bmf_core::health::assess` and `bmf_core::drift`): the
+//! `bmf_core` (`bmf_core::health::assess`, re-exported as
+//! `bmf_core::prelude::assess_health`, which grades a fusion from the
+//! late stage's sufficient statistics, and `bmf_core::drift`): the
 //! obs crate stays zero-dependency and never imports linear algebra,
 //! while the core crate owns the math and hands finished reports back
 //! down for export.

@@ -3,7 +3,8 @@
 //! ```text
 //! bmf estimate --early early.csv --late late.csv [--out moments.csv]
 //!     Fuse early-stage samples with few late-stage samples: shift/scale,
-//!     cross-validate (kappa0, nu0), MAP-estimate, print/export moments.
+//!     then the self-healing pipeline (guard, prior repair, cross-validated
+//!     (kappa0, nu0), MAP -> MLE -> early-only), print/export moments.
 //!     Both CSVs: header of metric names + one sample per row. The first
 //!     row of each file is treated as that stage's nominal run.
 //!
@@ -177,7 +178,7 @@ fn print_usage() {
     println!();
     println!("subcommands:");
     println!("  estimate --early <csv> --late <csv> [--out <csv>] [--seed <u64>] [--threads <n>]");
-    println!("           [--strict | --degrade] [--report <json-path|->] [--cv-naive]");
+    println!("           [--strict | --degrade] [--report <json-path|->]");
     println!("  generate --circuit opamp|adc --stage schematic|postlayout");
     println!("           --samples <n> [--seed <u64>] [--threads <n>] [--out <csv>]");
     println!("           [--fault-rate <r>] [--retry-attempts <n>]");
@@ -237,14 +238,13 @@ fn print_usage() {
     println!("without it a missing shard is a quorum failure (exit code 3). A crashed");
     println!("shard is re-run alone and merged — identical bits either way.");
     println!();
-    println!("robustness: --degrade routes estimation through the self-healing pipeline");
+    println!("robustness: estimate and merge always run the self-healing pipeline");
     println!("(data-quality guard, SPD prior repair, MAP -> MLE -> early-only fallback");
-    println!("ladder); --strict runs the same pipeline but turns any anomaly into an");
-    println!("error. --report writes the FusionReport as JSON ('-' prints a summary).");
+    println!("ladder). --degrade, the default, walks the ladder and records every");
+    println!("intervention; --strict runs the same pipeline but turns any anomaly into");
+    println!("an error. --report writes the FusionReport as JSON ('-' prints a summary).");
     println!("generate --fault-rate r injects failed sims at rate r and gross outliers");
     println!("at r/5 (deterministic, seed-derived) to exercise the robustness path.");
-    println!("--cv-naive scores the hyper-parameter grid with the naive per-candidate");
-    println!("refit instead of the fast rank-structured path (equivalence oracle; slow).");
     println!();
     println!("exit codes: 0 success; 1 runtime error (I/O, simulation, estimation,");
     println!("corrupt packet); 2 configuration/usage error; 3 strict-mode refusal");
@@ -254,7 +254,7 @@ fn print_usage() {
 }
 
 /// Flags that take no value (presence is the whole message).
-const BOOL_FLAGS: &[&str] = &["strict", "degrade", "cv-naive"];
+const BOOL_FLAGS: &[&str] = &["strict", "degrade"];
 
 /// Parses `--key value` pairs; repeated keys accumulate. Flags listed in
 /// [`BOOL_FLAGS`] are valueless switches.
@@ -333,15 +333,16 @@ fn threads_flag(flags: &HashMap<String, Vec<String>>) -> Result<usize, CliError>
 }
 
 /// Resolves the `--strict`/`--degrade` pair (mutually exclusive).
-fn failure_mode(flags: &HashMap<String, Vec<String>>) -> Result<(bool, bool), CliError> {
-    let strict = flags.contains_key("strict");
-    let degrade = flags.contains_key("degrade");
-    if strict && degrade {
-        return Err(CliError::Config(
+/// `--degrade` is the default; it stays accepted for scripts that spell
+/// it out.
+fn failure_mode(flags: &HashMap<String, Vec<String>>) -> Result<FailureMode, CliError> {
+    match (flags.contains_key("strict"), flags.contains_key("degrade")) {
+        (true, true) => Err(CliError::Config(
             "--strict and --degrade are mutually exclusive".to_string(),
-        ));
+        )),
+        (true, false) => Ok(FailureMode::Strict),
+        (false, _) => Ok(FailureMode::Degrade),
     }
-    Ok((strict, degrade))
 }
 
 /// Serializes moments to CSV and writes them atomically (or to stdout).
@@ -425,70 +426,42 @@ fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
     obs.set_threads(threads);
     let cv_seed = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
 
-    let (strict, degrade) = failure_mode(&flags)?;
-    let cv_naive = flags.contains_key("cv-naive");
+    let mode = failure_mode(&flags)?;
+    let strict = mode == FailureMode::Strict;
     // Thread count deliberately left out of the run config: the same
     // estimate at any parallelism is the same run (bit-identical output).
     obs.set_run(
         seed,
-        &format!(
-            "estimate early={early_path} late={late_path} strict={strict} cv_naive={cv_naive}"
-        ),
+        &format!("estimate early={early_path} late={late_path} strict={strict}"),
     );
-    let report_path = optional(&flags, "report");
 
-    let physical = if strict || degrade || report_path.is_some() {
-        // Robust path: guard -> prior repair -> MAP→MLE→early ladder,
-        // with the audit trail in a FusionReport.
-        let mode = if strict {
-            FailureMode::Strict
+    // Guard -> prior repair -> CV -> MAP→MLE→early ladder, with the
+    // audit trail in a FusionReport.
+    let pipeline = RobustPipeline::new()
+        .with_mode(mode)
+        .with_seed(cv_seed)
+        .with_threads(threads);
+    let (est, report) = pipeline.estimate(&early_moments, &late_norm).map_err(|e| {
+        if strict {
+            CliError::Strict(e.to_string())
         } else {
-            FailureMode::Degrade
-        };
-        let pipeline = RobustPipeline::new()
-            .with_mode(mode)
-            .with_cv(CrossValidation::default().with_naive_scoring(cv_naive))
-            .with_seed(cv_seed)
-            .with_threads(threads);
-        let (est, report) = pipeline.estimate(&early_moments, &late_norm).map_err(|e| {
-            if strict {
-                CliError::Strict(e.to_string())
-            } else {
-                rt(e)
-            }
-        })?;
-        bmf_ams::obs::info!("robust pipeline: fusion level = {}", report.fallback);
-        if let Some(reason) = &report.fallback_reason {
-            bmf_ams::obs::warn!("robust pipeline: {reason}");
+            rt(e)
         }
-        if let Some((kappa0, nu0)) = report.selection {
-            bmf_ams::obs::info!(
-                "cross-validation selected kappa0 = {kappa0:.3}, nu0 = {nu0:.2} ({threads} thread(s))"
-            );
-        }
-        emit_report(report_path, &report)?;
-        if let Some(health) = report.health.clone() {
-            obs.attach_health(health);
-        }
-        late_t.invert_moments(&est).map_err(rt)?
-    } else {
-        let sel = CrossValidation::default()
-            .with_naive_scoring(cv_naive)
-            .select_seeded(&early_moments, &late_norm, cv_seed, threads)
-            .map_err(rt)?;
+    })?;
+    bmf_ams::obs::info!("robust pipeline: fusion level = {}", report.fallback);
+    if let Some(reason) = &report.fallback_reason {
+        bmf_ams::obs::warn!("robust pipeline: {reason}");
+    }
+    if let Some((kappa0, nu0)) = report.selection {
         bmf_ams::obs::info!(
-            "cross-validation selected kappa0 = {:.3}, nu0 = {:.2} (score {:.4}, {threads} thread(s))",
-            sel.kappa0, sel.nu0, sel.score
+            "cross-validation selected kappa0 = {kappa0:.3}, nu0 = {nu0:.2} ({threads} thread(s))"
         );
-
-        let prior = NormalWishartPrior::from_early_moments(&early_moments, sel.kappa0, sel.nu0)
-            .map_err(rt)?;
-        let est = BmfEstimator::new(prior)
-            .map_err(rt)?
-            .estimate(&late_norm)
-            .map_err(rt)?;
-        late_t.invert_moments(&est.map).map_err(rt)?
-    };
+    }
+    emit_report(optional(&flags, "report"), &report)?;
+    if let Some(health) = report.health.clone() {
+        obs.attach_health(health);
+    }
+    let physical = late_t.invert_moments(&est).map_err(rt)?;
 
     if obs.dashboard_out.is_some() {
         // Read-only drift scan of the late-stage stream against the
@@ -754,7 +727,8 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
         }
         None => None,
     };
-    let (strict, _degrade) = failure_mode(&flags)?;
+    let mode = failure_mode(&flags)?;
+    let strict = mode == FailureMode::Strict;
     let kappa0: Option<f64> = match optional(&flags, "kappa0") {
         Some(raw) => Some(
             raw.parse()
@@ -834,11 +808,6 @@ fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
     }
 
     let (early_norm, late_stats, late_t) = normalized_study(&outcome)?;
-    let mode = if strict {
-        FailureMode::Strict
-    } else {
-        FailureMode::Degrade
-    };
     let mut pipeline = RobustPipeline::new().with_mode(mode).with_threads(threads);
     if let (Some(k), Some(v)) = (kappa0, nu0) {
         pipeline = pipeline.with_fixed_hypers(k, v);
