@@ -5,13 +5,18 @@
 //!   `traceEvents` array whose complete (`ph == "X"`) events all carry
 //!   `name`/`ts`/`dur`/`pid`/`tid`, and embed the hardware context in
 //!   `otherData`. This is the shape Perfetto / `chrome://tracing` loads.
+//!   The profile must also add up: the spans' self times must sum to
+//!   within 5% of the trace's wall-clock extent × `threads_used`, so
+//!   every millisecond is attributed to exactly one span. A multi-thread
+//!   run sums below that wherever threads idle (serial phases,
+//!   stragglers), so the check is meant for one-thread traces.
 //! * `--metrics <path>` — the file must parse as JSON and the named
 //!   `--expect-counter <name>` entries (repeatable) must be present and
 //!   nonzero.
 //! * `--dashboard <path>` — the file must be a self-contained HTML
 //!   document with every dashboard section id present, every `href="#…"`
-//!   pointing at an existing id, and the three embedded JSON blobs
-//!   (`health-data`, `drift-data`, `bench-data`) must re-parse after
+//!   pointing at an existing id, and the embedded JSON blobs
+//!   (`health-data`, `drift-data`, `fleet-data`) must re-parse after
 //!   undoing the `</` → `<\/` embedding escape.
 //! * `--expect-health <ok|warn|critical>` — with `--dashboard`, the
 //!   `health-data` blob must be non-null and report exactly that overall
@@ -492,6 +497,44 @@ fn check_trace(doc: &Value) -> Result<(usize, usize), String> {
     Ok((events.len(), complete))
 }
 
+/// How far the summed span self times may stray from wall × threads.
+const ATTRIBUTION_TOLERANCE: f64 = 0.05;
+
+/// Checks that a trace [`check_trace`] accepted adds up: Σ `self_us`
+/// over the complete spans against the wall-clock extent of the trace
+/// (first span open to last span close) times `otherData.threads_used`.
+/// Returns the ratio.
+fn check_attribution(doc: &Value) -> Result<f64, String> {
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+    let (mut self_us, mut first, mut last) = (0.0, f64::INFINITY, f64::NEG_INFINITY);
+    let spans = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .into_iter()
+        .flatten()
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"));
+    for e in spans {
+        self_us += e
+            .get("args")
+            .and_then(|a| a.get("self_us"))
+            .and_then(Value::as_f64)
+            .ok_or("a complete span has no numeric args.self_us")?;
+        first = f64::min(first, num(e, "ts"));
+        last = f64::max(last, num(e, "ts") + num(e, "dur"));
+    }
+    let threads = doc.get("otherData").map_or(1.0, |o| num(o, "threads_used"));
+    let ratio = self_us / ((last - first) * threads);
+    if (ratio - 1.0).abs() > ATTRIBUTION_TOLERANCE {
+        return Err(format!(
+            "span self times sum to {:.3} ms, {ratio:.3}x of wall {:.3} ms x {threads} \
+             thread(s), beyond the {ATTRIBUTION_TOLERANCE} tolerance",
+            self_us / 1e3,
+            (last - first) / 1e3
+        ));
+    }
+    Ok(ratio)
+}
+
 fn check_metrics(doc: &Value, expect: &[String]) -> Result<(), String> {
     let counters = doc.get("counters").ok_or("missing counters object")?;
     for name in expect {
@@ -566,9 +609,9 @@ fn embedded_json(html: &str, id: &str) -> Result<Value, String> {
     bmf_obs::json::parse(&raw).map_err(|e| format!("blob {id} is not valid JSON: {e}"))
 }
 
-/// The ids the dashboard always renders: the nine section anchors
-/// plus the seven machine-readable JSON blobs.
-const DASHBOARD_IDS: [&str; 16] = [
+/// The ids the dashboard always renders: the eight section anchors
+/// plus the six machine-readable JSON blobs.
+const DASHBOARD_IDS: [&str; 14] = [
     "profile",
     "metrics",
     "health",
@@ -577,14 +620,12 @@ const DASHBOARD_IDS: [&str; 16] = [
     "timeline",
     "drift",
     "events",
-    "bench",
     "health-data",
     "drift-data",
     "shard-data",
     "fleet-data",
     "timeline-data",
     "events-data",
-    "bench-data",
 ];
 
 fn check_dashboard(html: &str, expect_health: Option<&str>) -> Result<String, String> {
@@ -647,19 +688,7 @@ fn check_dashboard(html: &str, expect_health: Option<&str>) -> Result<String, St
             format!("fleet: {shards} shard(s), {stragglers} straggler(s)")
         }
     };
-    let bench = embedded_json(html, "bench-data")?;
-    let bench_desc = match &bench {
-        Value::Null => "bench history: absent".to_string(),
-        obj => format!(
-            "bench history: {} entr(ies)",
-            obj.get("entries")
-                .and_then(Value::as_array)
-                .map_or(0, <[Value]>::len)
-        ),
-    };
-    Ok(format!(
-        "{health_desc}, {drift_desc}, {fleet_desc}, {bench_desc}"
-    ))
+    Ok(format!("{health_desc}, {drift_desc}, {fleet_desc}"))
 }
 
 fn main() -> ExitCode {
@@ -725,9 +754,10 @@ fn main() -> ExitCode {
             Ok(doc) => doc,
             Err(e) => return fail(&e),
         };
-        match check_trace(&doc) {
-            Ok((total, complete)) => bmf_obs::outln!(
-                "trace_check: {path}: {total} events ({complete} complete spans), hardware context present"
+        match check_trace(&doc).and_then(|counts| Ok((counts, check_attribution(&doc)?))) {
+            Ok(((total, complete), ratio)) => bmf_obs::outln!(
+                "trace_check: {path}: {total} events ({complete} complete spans), hardware context present, \
+                 self times sum to {ratio:.3}x wall x threads"
             ),
             Err(e) => return fail(&format!("{path}: {e}")),
         }

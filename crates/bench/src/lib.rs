@@ -9,7 +9,6 @@
 //! `benches/` holds the Criterion component benchmarks.
 
 pub mod plot;
-pub mod stages;
 
 use bmf_circuits::fault::{FaultConfig, FaultInjector};
 use bmf_circuits::monte_carlo::{two_stage_study_seeded, Testbench, TwoStageStudy};

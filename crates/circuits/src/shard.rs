@@ -38,13 +38,10 @@ use bmf_obs::{FleetShardRow, FleetSummary, RunContext, ShardCoverage};
 
 /// Format marker every packet carries.
 pub const PACKET_FORMAT: &str = "bmf-shard-packet";
-/// Current packet schema version. Version 2 added the optional
-/// `telemetry` envelope; version 3 added the compact span summary,
-/// time-series digest and wall-clock bounds inside it. Version-1
-/// (no telemetry) and version-2 (no trace/digest) packets still parse.
+/// Packet schema version, the only one this build writes or reads. No
+/// packet outlives the study run that produced it, so there is nothing
+/// older to keep reading.
 pub const PACKET_VERSION: u64 = 3;
-/// Oldest packet version this build still reads.
-pub const PACKET_MIN_VERSION: u64 = 1;
 /// Longest event tail a packet ships (newest events win).
 pub const TELEMETRY_EVENT_TAIL: usize = 32;
 /// Most spans a packet's trace summary ships (longest spans win).
@@ -534,10 +531,12 @@ pub struct SeriesDigest {
     pub points: Vec<(u64, u64)>,
 }
 
-/// Per-shard observability telemetry carried in a version-2 packet so a
-/// merge can build a fleet view without the shards' processes being
-/// alive. Captured only when recording was enabled in the shard's
-/// process (`--events-out`, `--obs-listen`, ...); a quiet shard ships
+/// Per-shard observability telemetry carried in a packet so a merge can
+/// build a fleet view without the shards' processes being alive.
+/// [`run_shard`] never captures it: the caller decides, by wrapping the
+/// run in [`ShardTelemetry::record`] and setting
+/// [`ShardPacket::telemetry`] (`bmf shard` does so when it records,
+/// e.g. under `--events-out` or `--obs-listen`). A quiet shard ships
 /// `telemetry: None` and costs nothing.
 ///
 /// Telemetry is measurement, not input: it never enters the checksum'd
@@ -557,14 +556,13 @@ pub struct ShardTelemetry {
     pub events: Vec<String>,
     /// Compact trace summary: spans of depth ≤
     /// [`TELEMETRY_SPAN_DEPTH`] recorded during the shard run, the
-    /// [`TELEMETRY_SPAN_CAP`] longest, in start order. Added in packet
-    /// v3; older packets parse with an empty list.
+    /// [`TELEMETRY_SPAN_CAP`] longest, in start order.
     pub spans: Vec<SpanSummary>,
-    /// Time-series tail digest at shard completion. Added in v3.
+    /// Time-series tail digest at shard completion.
     pub timeseries: Vec<SeriesDigest>,
     /// Unix wall clock when the shard run started, milliseconds
-    /// (`0` = unknown, e.g. a pre-v3 packet). Observability only —
-    /// never merged into statistics.
+    /// (`0` = unknown). Observability only — never merged into
+    /// statistics.
     pub start_unix_ms: u64,
     /// Unix wall clock when the shard run finished, milliseconds
     /// (`0` = unknown).
@@ -582,17 +580,19 @@ impl ShardTelemetry {
             .map_or(0, |(_, v)| *v)
     }
 
-    /// Captures the delta between two metrics snapshots plus the event
-    /// tail, span summary and time-series digest visible to the calling
-    /// thread. `trace_t0_ns` windows the span summary to spans opened
-    /// during the shard run; `start_unix_ms` anchors the stitched fleet
-    /// timeline.
-    fn capture(
-        wall_ns: u64,
-        before: &bmf_obs::MetricsSnapshot,
-        trace_t0_ns: u64,
-        start_unix_ms: u64,
-    ) -> ShardTelemetry {
+    /// Runs `run` (normally a [`run_shard`] call) and captures the
+    /// telemetry it produced: wall time, the counter and histogram
+    /// deltas, and the event tail, span summary and time-series digest
+    /// visible to the calling thread. Counters, events and spans only
+    /// move while `bmf_obs` records; the wall-clock fields are always
+    /// filled. Capturing observes the run, never perturbs it.
+    pub fn record<T>(run: impl FnOnce() -> T) -> (T, ShardTelemetry) {
+        let t0 = std::time::Instant::now();
+        let before = bmf_obs::metrics::snapshot();
+        let trace_t0_ns = bmf_obs::span::now_ns();
+        let start_unix_ms = unix_ms_now();
+        let out = run();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
         let after = bmf_obs::metrics::snapshot();
         let counters = after
             .counters
@@ -653,7 +653,7 @@ impl ShardTelemetry {
                     .collect(),
             })
             .collect();
-        ShardTelemetry {
+        let telemetry = ShardTelemetry {
             wall_ns,
             counters,
             histograms,
@@ -662,7 +662,8 @@ impl ShardTelemetry {
             timeseries,
             start_unix_ms,
             end_unix_ms: unix_ms_now(),
-        }
+        };
+        (out, telemetry)
     }
 
     fn to_json(&self) -> String {
@@ -801,76 +802,64 @@ impl ShardTelemetry {
                     .ok_or_else(|| corrupt("telemetry event line is not a string".to_string()))
             })
             .collect::<Result<Vec<_>>>()?;
-        // The v3 additions: absent (or null) in older packets.
-        let spans = match v.get("spans") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(arr) => arr
-                .as_array()
-                .ok_or_else(|| corrupt("telemetry field spans is not an array".to_string()))?
-                .iter()
-                .map(|s| {
-                    Ok(SpanSummary {
-                        name: s
-                            .get("name")
-                            .and_then(Value::as_str)
-                            .ok_or_else(|| corrupt("telemetry span name missing".to_string()))?
-                            .to_string(),
-                        depth: u32::try_from(nat(
-                            s.get("depth").unwrap_or(&Value::Null),
-                            "span depth",
-                        )?)
-                        .map_err(|_| corrupt("telemetry span depth overflows".to_string()))?,
-                        start_ns: nat(s.get("start_ns").unwrap_or(&Value::Null), "span start_ns")?,
-                        dur_ns: nat(s.get("dur_ns").unwrap_or(&Value::Null), "span dur_ns")?,
-                    })
+        let spans = v
+            .get("spans")
+            .and_then(Value::as_array)
+            .ok_or_else(|| corrupt("telemetry field spans missing".to_string()))?
+            .iter()
+            .map(|s| {
+                Ok(SpanSummary {
+                    name: s
+                        .get("name")
+                        .and_then(Value::as_str)
+                        .ok_or_else(|| corrupt("telemetry span name missing".to_string()))?
+                        .to_string(),
+                    depth: u32::try_from(nat(
+                        s.get("depth").unwrap_or(&Value::Null),
+                        "span depth",
+                    )?)
+                    .map_err(|_| corrupt("telemetry span depth overflows".to_string()))?,
+                    start_ns: nat(s.get("start_ns").unwrap_or(&Value::Null), "span start_ns")?,
+                    dur_ns: nat(s.get("dur_ns").unwrap_or(&Value::Null), "span dur_ns")?,
                 })
-                .collect::<Result<Vec<_>>>()?,
-        };
-        let timeseries = match v.get("timeseries") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(arr) => arr
-                .as_array()
-                .ok_or_else(|| corrupt("telemetry field timeseries is not an array".to_string()))?
-                .iter()
-                .map(|d| {
-                    let points = d
-                        .get("points")
-                        .and_then(Value::as_array)
-                        .ok_or_else(|| corrupt("telemetry series points missing".to_string()))?
-                        .iter()
-                        .map(|p| {
-                            let pair = p.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                                corrupt(
-                                    "telemetry series point is not a [ts, bits] pair".to_string(),
-                                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let timeseries = v
+            .get("timeseries")
+            .and_then(Value::as_array)
+            .ok_or_else(|| corrupt("telemetry field timeseries missing".to_string()))?
+            .iter()
+            .map(|d| {
+                let points = d
+                    .get("points")
+                    .and_then(Value::as_array)
+                    .ok_or_else(|| corrupt("telemetry series points missing".to_string()))?
+                    .iter()
+                    .map(|p| {
+                        let pair = p.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
+                            corrupt("telemetry series point is not a [ts, bits] pair".to_string())
+                        })?;
+                        let ts = nat(&pair[0], "series point timestamp")?;
+                        let bits = pair[1]
+                            .as_str()
+                            .and_then(|s| u64::from_str_radix(s, 16).ok())
+                            .ok_or_else(|| {
+                                corrupt("telemetry series value is not 64-bit hex".to_string())
                             })?;
-                            let ts = nat(&pair[0], "series point timestamp")?;
-                            let bits = pair[1]
-                                .as_str()
-                                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                                .ok_or_else(|| {
-                                    corrupt("telemetry series value is not 64-bit hex".to_string())
-                                })?;
-                            Ok((ts, bits))
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    Ok(SeriesDigest {
-                        name: d
-                            .get("name")
-                            .and_then(Value::as_str)
-                            .ok_or_else(|| corrupt("telemetry series name missing".to_string()))?
-                            .to_string(),
-                        points,
+                        Ok((ts, bits))
                     })
+                    .collect::<Result<Vec<_>>>()?;
+                Ok(SeriesDigest {
+                    name: d
+                        .get("name")
+                        .and_then(Value::as_str)
+                        .ok_or_else(|| corrupt("telemetry series name missing".to_string()))?
+                        .to_string(),
+                    points,
                 })
-                .collect::<Result<Vec<_>>>()?,
-        };
-        let opt_ms = |key: &str| -> Result<u64> {
-            match v.get(key) {
-                None | Some(Value::Null) => Ok(0),
-                Some(x) => nat(x, key),
-            }
-        };
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let ms = |key: &str| nat(v.get(key).unwrap_or(&Value::Null), key);
         Ok(ShardTelemetry {
             wall_ns,
             counters,
@@ -878,8 +867,8 @@ impl ShardTelemetry {
             events,
             spans,
             timeseries,
-            start_unix_ms: opt_ms("start_unix_ms")?,
-            end_unix_ms: opt_ms("end_unix_ms")?,
+            start_unix_ms: ms("start_unix_ms")?,
+            end_unix_ms: ms("end_unix_ms")?,
         })
     }
 }
@@ -899,9 +888,9 @@ pub struct ShardPacket {
     /// Total simulator redraws across both slices (deterministic: each
     /// sample retries within its own stream).
     pub retries: u64,
-    /// Observability telemetry of the producing process, captured only
-    /// when recording was enabled there. Never merged into statistics;
-    /// feeds the fleet view.
+    /// Observability telemetry of the producing process, set by the
+    /// caller from [`ShardTelemetry::record`]. Never merged into
+    /// statistics; feeds the fleet view.
     pub telemetry: Option<ShardTelemetry>,
 }
 
@@ -929,7 +918,8 @@ fn unix_ms_now() -> u64 {
 
 /// Runs shard `index` of the study described by `config`: both stages'
 /// slices at `threads` worker threads, accumulated into exact
-/// sufficient statistics.
+/// sufficient statistics. The packet carries no telemetry, whatever the
+/// process records; see [`ShardTelemetry::record`].
 ///
 /// # Errors
 ///
@@ -948,18 +938,6 @@ pub fn run_shard(config: &StudyConfig, index: usize, threads: usize) -> Result<S
     let policy = RetryPolicy {
         max_attempts: config.max_attempts,
     };
-    // Telemetry baseline: only when the producing process records.
-    // Recording never perturbs the statistics (the crate invariant), so
-    // a telemetry-bearing packet is bit-identical in its payload science
-    // to a quiet one — only the envelope grows.
-    let baseline = bmf_obs::is_enabled().then(|| {
-        (
-            std::time::Instant::now(),
-            bmf_obs::metrics::snapshot(),
-            bmf_obs::span::now_ns(),
-            unix_ms_now(),
-        )
-    });
     let mut retries = 0u64;
     let mut run_stage = |stage: Stage, total: usize| -> Result<StageSuffStats> {
         let (start, len) = StudyConfig::slice(total, index, config.shard_count);
@@ -979,21 +957,13 @@ pub fn run_shard(config: &StudyConfig, index: usize, threads: usize) -> Result<S
     };
     let early = run_stage(Stage::Schematic, config.n_early)?;
     let late = run_stage(Stage::PostLayout, config.n_late)?;
-    let telemetry = baseline.map(|(t0, before, trace_t0_ns, start_unix_ms)| {
-        ShardTelemetry::capture(
-            t0.elapsed().as_nanos() as u64,
-            &before,
-            trace_t0_ns,
-            start_unix_ms,
-        )
-    });
     Ok(ShardPacket {
         config: config.clone(),
         shard_index: index,
         early,
         late,
         retries,
-        telemetry,
+        telemetry: None,
     })
 }
 
@@ -1062,12 +1032,10 @@ pub fn parse_packet(text: &str, label: &str) -> Result<ShardPacket> {
         None => return Err(corrupt("format marker missing".to_string())),
     }
     match doc.get("version").and_then(Value::as_f64) {
-        Some(v)
-            if v.fract() == 0.0
-                && (PACKET_MIN_VERSION as f64..=PACKET_VERSION as f64).contains(&v) => {}
+        Some(v) if v == PACKET_VERSION as f64 => {}
         Some(v) => {
             return Err(corrupt(format!(
-                "version {v}, this build reads {PACKET_MIN_VERSION}..={PACKET_VERSION}"
+                "version {v}, this build reads {PACKET_VERSION}"
             )));
         }
         None => return Err(corrupt("version missing".to_string())),
@@ -1158,7 +1126,7 @@ pub fn parse_packet(text: &str, label: &str) -> Result<ShardPacket> {
             .ok_or_else(|| corrupt("late stage missing".to_string()))?,
         label,
     )?;
-    // Version-1 packets (and quiet version-2 shards) have no telemetry.
+    // Quiet shards have no telemetry.
     let telemetry = match payload.get("telemetry") {
         None | Some(Value::Null) => None,
         Some(t) => Some(ShardTelemetry::from_value(t, label)?),
@@ -1678,56 +1646,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_packets_still_parse_as_telemetry_free() {
-        // A v1 document is exactly a v2 quiet packet with the old
-        // version number — this build must keep reading it.
-        let p = run_shard(&config(), 0, 1).unwrap();
-        assert!(p.telemetry.is_none(), "recording off → quiet packet");
-        let v1_payload = p.payload_json();
-        let v1 = format!(
-            "{{\"format\":\"{PACKET_FORMAT}\",\"version\":1,\"checksum\":\"{:016x}\",\"payload\":{v1_payload}}}",
-            bmf_obs::run::fnv1a(v1_payload.as_bytes()),
-        );
-        let back = parse_packet(&v1, "legacy").unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn version_2_telemetry_packets_parse_without_trace_fields() {
-        // A v2 producer wrote telemetry but none of the v3 trace fields
-        // (spans / timeseries / wall-clock bounds); they must parse as
-        // empty / unknown.
-        let cfg = StudyConfig {
-            shard_count: 2,
-            ..config()
-        };
-        let mut p = run_shard(&cfg, 0, 1).unwrap();
-        p.telemetry = Some(ShardTelemetry {
-            wall_ns: 1234,
-            counters: vec![("monte_carlo.sims".to_string(), 7)],
-            histograms: Vec::new(),
-            events: Vec::new(),
-            spans: Vec::new(),
-            timeseries: Vec::new(),
-            start_unix_ms: 0,
-            end_unix_ms: 0,
-        });
-        let payload = p.payload_json();
-        let v2_payload = payload.replacen(
-            ",\"spans\":[],\"timeseries\":[],\"start_unix_ms\":0,\"end_unix_ms\":0",
-            "",
-            1,
-        );
-        assert_ne!(v2_payload, payload, "trace fields were present to strip");
-        let v2 = format!(
-            "{{\"format\":\"{PACKET_FORMAT}\",\"version\":2,\"checksum\":\"{:016x}\",\"payload\":{v2_payload}}}",
-            fnv1a(v2_payload.as_bytes()),
-        );
-        let back = parse_packet(&v2, "legacy-v2").unwrap();
-        assert_eq!(back, p, "missing trace fields read back as defaults");
-    }
-
-    #[test]
     fn fleet_trace_stitches_one_clock_aligned_track_per_shard() {
         let cfg = StudyConfig {
             shard_count: 2,
@@ -1817,25 +1735,20 @@ mod tests {
 
     #[test]
     fn telemetry_rides_the_packet_and_feeds_the_fleet_view() {
-        // Serializes access to the process-wide obs switch against any
-        // future recording test in this binary.
-        static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = OBS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        bmf_obs::reset();
         let cfg = StudyConfig {
             shard_count: 2,
             ..config()
         };
-        // Shard 0 runs quiet; shard 1 runs with recording on.
+        // Shard 0 runs quiet; shard 1's run is captured. Recording is
+        // off, so the capture holds wall-clock fields only.
         let quiet = run_shard(&cfg, 0, 1).unwrap();
         assert!(quiet.telemetry.is_none());
-        bmf_obs::enable();
-        let loud = run_shard(&cfg, 1, 1).unwrap();
-        bmf_obs::reset();
-        let t = loud.telemetry.as_ref().expect("recording on → telemetry");
-        assert!(t.sims() > 0, "sims counter moved: {:?}", t.counters);
+        let (loud, captured) = ShardTelemetry::record(|| run_shard(&cfg, 1, 1));
+        let mut loud = loud.unwrap();
+        assert!(loud.telemetry.is_none(), "run_shard never captures");
+        loud.telemetry = Some(captured);
+        let t = loud.telemetry.as_ref().unwrap();
+        assert!(t.wall_ns > 0 && t.end_unix_ms >= t.start_unix_ms, "{t:?}");
         // Telemetry survives the JSON round trip byte-exactly.
         let text = loud.to_json();
         let back = parse_packet(&text, "telemetry-roundtrip").unwrap();

@@ -7,8 +7,7 @@
 //! * `--profile` — print the aggregated per-span profile table to stdout
 //! * `--metrics-out <path>` — write a metrics snapshot JSON file
 //! * `--dashboard-out <path>` — write a self-contained HTML dashboard
-//!   (profile, metrics, estimator health, drift timeline, event log,
-//!   bench history)
+//!   (profile, metrics, estimator health, drift timeline, event log)
 //! * `--events-out <path>` — write the structured event log as JSONL
 //!   (one JSON object per line) and arm the flight-recorder panic hook
 //! * `--obs-listen <addr>` — serve live observability over HTTP while
@@ -50,10 +49,6 @@ use crate::fsio::atomic_write;
 use crate::health::{DriftTimeline, HealthReport};
 use crate::shard::{FleetSummary, ShardCoverage};
 use std::io;
-
-/// Filename the dashboard looks for (in the working directory) to
-/// populate its bench-history section.
-pub const BENCH_HISTORY_FILE: &str = "BENCH_history.json";
 
 /// Parsed observability flags for one process run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -423,7 +418,6 @@ impl ObsOptions {
         }
         if let Some(path) = &self.dashboard_out {
             let snapshot = crate::metrics::snapshot();
-            let bench_history = std::fs::read_to_string(BENCH_HISTORY_FILE).ok();
             let flight_dump = crate::flight::last_dump();
             let timeseries = crate::tsdb::snapshot();
             let alerts_json = crate::alert::installed().then(crate::alert::render_json);
@@ -444,7 +438,6 @@ impl ObsOptions {
                 drift: self.drift.as_ref(),
                 shard: self.shard.as_ref(),
                 fleet: self.fleet.as_ref(),
-                bench_history_json: bench_history.as_deref(),
                 timeseries: &timeseries,
                 alerts_json: alerts_json.as_deref(),
                 refresh_s: None,

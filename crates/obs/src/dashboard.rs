@@ -1,15 +1,15 @@
 //! Self-contained HTML dashboard exporter.
 //!
 //! [`render`] turns one run's observability artifacts — profile, metrics
-//! snapshot, [`HealthReport`], [`DriftTimeline`] and the committed bench
-//! history — into a single static HTML document with inline CSS and SVG.
+//! snapshot, [`HealthReport`], [`DriftTimeline`], shard coverage, fleet
+//! telemetry and time series — into a single static HTML document with
+//! inline CSS and SVG.
 //! No JavaScript, no external assets, no network: the file opens
 //! anywhere a browser does, which is the whole point of a dashboard you
 //! can attach to a CI artifact or an email.
 //!
-//! Charts are rendered server-side: bench history JSON is parsed with
-//! [`crate::json`] inside this crate and drawn as SVG polylines. The raw
-//! health/drift/bench JSON is also embedded verbatim in inert
+//! Charts are rendered server-side as SVG polylines. The raw
+//! health/drift/shard/fleet/timeline JSON is also embedded verbatim in inert
 //! `<script type="application/json">` blocks so downstream tooling (and
 //! the `trace_check` CI gate) can re-parse exactly what the page shows.
 //!
@@ -60,8 +60,6 @@ pub struct DashboardData<'a> {
     pub shard: Option<&'a ShardCoverage>,
     /// Fleet telemetry view, when the merged packets carried telemetry.
     pub fleet: Option<&'a FleetSummary>,
-    /// Raw contents of `BENCH_history.json`, when available.
-    pub bench_history_json: Option<&'a str>,
     /// Time-series snapshots from [`crate::tsdb`] (timeline section).
     pub timeseries: &'a [SeriesSnapshot],
     /// Rendered alert-engine JSON from [`crate::alert::render_json`],
@@ -129,22 +127,18 @@ fn fmt_sig(v: f64) -> String {
 // SVG line chart
 // ---------------------------------------------------------------------------
 
-struct ChartSeries {
-    label: String,
-    /// CSS variable name for the stroke, e.g. "--series-1".
-    color_var: &'static str,
-    points: Vec<(f64, f64)>,
-}
-
-const SERIES_VARS: [&str; 3] = ["--series-1", "--series-2", "--series-3"];
-
-/// Renders a small single-axis line chart as inline SVG. `threshold`
-/// lines (label, y) are drawn as dashed hairlines. Returns an empty
-/// string when no series has at least one point.
-fn svg_line_chart(series: &[ChartSeries], y_label: &str, thresholds: &[(&str, f64)]) -> String {
-    let finite: Vec<(f64, f64)> = series
+/// Renders one series as a small single-axis line chart in inline SVG.
+/// `threshold` lines (label, y) are drawn as dashed hairlines. Returns
+/// an empty string when the series has no finite point.
+fn svg_line_chart(
+    label: &str,
+    points: &[(f64, f64)],
+    y_label: &str,
+    thresholds: &[(&str, f64)],
+) -> String {
+    let finite: Vec<(f64, f64)> = points
         .iter()
-        .flat_map(|s| s.points.iter().copied())
+        .copied()
         .filter(|(x, y)| x.is_finite() && y.is_finite())
         .collect();
     if finite.is_empty() {
@@ -219,58 +213,31 @@ fn svg_line_chart(series: &[ChartSeries], y_label: &str, thresholds: &[(&str, f6
         W - MR,
         H - MB
     );
-    for s in series {
-        let pts: Vec<(f64, f64)> = s
-            .points
+    if finite.len() > 1 {
+        let path: Vec<String> = finite
             .iter()
-            .copied()
-            .filter(|(x, y)| x.is_finite() && y.is_finite())
+            .map(|&(x, y)| format!("{:.1},{:.1}", px(x), py(y)))
             .collect();
-        if pts.is_empty() {
-            continue;
-        }
-        if pts.len() > 1 {
-            let path: Vec<String> = pts
-                .iter()
-                .map(|&(x, y)| format!("{:.1},{:.1}", px(x), py(y)))
-                .collect();
-            let _ = write!(
-                svg,
-                "<polyline class=\"line\" style=\"stroke:var({})\" points=\"{}\"/>",
-                s.color_var,
-                path.join(" ")
-            );
-        }
-        for &(x, y) in &pts {
-            let _ = write!(
-                svg,
-                "<circle class=\"mark\" style=\"fill:var({})\" cx=\"{:.1}\" cy=\"{:.1}\" r=\"3\">\
-                 <title>{}: x={}, y={}</title></circle>",
-                s.color_var,
-                px(x),
-                py(y),
-                html_escape(&s.label),
-                html_escape(&fmt_sig(x)),
-                html_escape(&fmt_sig(y)),
-            );
-        }
+        let _ = write!(
+            svg,
+            "<polyline class=\"line\" style=\"stroke:var(--series-1)\" points=\"{}\"/>",
+            path.join(" ")
+        );
+    }
+    for &(x, y) in &finite {
+        let _ = write!(
+            svg,
+            "<circle class=\"mark\" style=\"fill:var(--series-1)\" cx=\"{:.1}\" cy=\"{:.1}\" r=\"3\">\
+             <title>{}: x={}, y={}</title></circle>",
+            px(x),
+            py(y),
+            html_escape(label),
+            html_escape(&fmt_sig(x)),
+            html_escape(&fmt_sig(y)),
+        );
     }
     svg.push_str("</svg>");
-    // Legend only when two or more series share the plot.
-    let mut out = String::new();
-    if series.len() >= 2 {
-        out.push_str("<div class=\"legend\">");
-        for s in series {
-            let _ = write!(
-                out,
-                "<span class=\"key\"><span class=\"swatch\" style=\"background:var({})\"></span>{}</span>",
-                s.color_var,
-                html_escape(&s.label)
-            );
-        }
-        out.push_str("</div>");
-    }
-    svg + &out
+    svg
 }
 
 /// Renders one series as a compact axis-free sparkline. Returns an
@@ -686,13 +653,11 @@ fn drift_section(data: &DashboardData) -> String {
         }
         Some(t) => {
             let _ = write!(out, "<p>Overall: {}</p>", severity_badge(t.overall()));
-            let series = [ChartSeries {
-                label: "KL(window \u{2016} early)".to_string(),
-                color_var: SERIES_VARS[0],
-                points: t.windows.iter().map(|w| (w.index as f64, w.kl)).collect(),
-            }];
+            let points: Vec<(f64, f64)> =
+                t.windows.iter().map(|w| (w.index as f64, w.kl)).collect();
             out.push_str(&svg_line_chart(
-                &series,
+                "KL(window \u{2016} early)",
+                &points,
                 "KL divergence (nats) per drift window",
                 &[
                     ("warn", crate::health::DRIFT_KL_WARN),
@@ -709,116 +674,6 @@ fn drift_section(data: &DashboardData) -> String {
         }
     }
     out.push_str("</section>");
-    out
-}
-
-fn bench_section(data: &DashboardData) -> String {
-    let mut out = String::from("<section id=\"bench\"><h2>Bench history</h2>");
-    let parsed = data.bench_history_json.and_then(|s| json::parse(s).ok());
-    let entries: Vec<Value> = parsed
-        .as_ref()
-        .and_then(|v| v.get("entries"))
-        .and_then(Value::as_array)
-        .map(<[Value]>::to_vec)
-        .unwrap_or_default();
-    if entries.is_empty() {
-        out.push_str("<p class=\"muted\">No bench history available.</p></section>");
-        return out;
-    }
-    // Stage names in first-seen order, capped at the three validated
-    // categorical slots; extras fold into the table below.
-    let mut stage_names: Vec<String> = Vec::new();
-    for e in &entries {
-        if let Some(Value::Object(stages)) = e.get("stages") {
-            for k in stages.keys() {
-                if !stage_names.contains(k) {
-                    stage_names.push(k.clone());
-                }
-            }
-        }
-    }
-    let plotted = stage_names.len().min(SERIES_VARS.len());
-    let series: Vec<ChartSeries> = stage_names[..plotted]
-        .iter()
-        .enumerate()
-        .map(|(i, name)| ChartSeries {
-            label: name.clone(),
-            color_var: SERIES_VARS[i],
-            points: entries
-                .iter()
-                .enumerate()
-                .filter_map(|(j, e)| {
-                    e.get("stages")
-                        .and_then(|s| s.get(name))
-                        .and_then(Value::as_f64)
-                        .map(|v| (j as f64, v))
-                })
-                .collect(),
-        })
-        .collect();
-    out.push_str(&svg_line_chart(&series, "stage seconds per entry", &[]));
-    if stage_names.len() > plotted {
-        let _ = write!(
-            out,
-            "<p class=\"muted\">{} additional stage(s) not plotted; see table.</p>",
-            stage_names.len() - plotted
-        );
-    }
-    out.push_str(
-        "<table><thead><tr><th>entry</th><th>when</th><th class=\"num\">cores</th>\
-         <th class=\"num\">threads</th>",
-    );
-    for name in &stage_names {
-        let _ = write!(out, "<th class=\"num\">{}</th>", html_escape(name));
-    }
-    out.push_str("</tr></thead><tbody>");
-    for (j, e) in entries.iter().enumerate() {
-        let when = e
-            .get("timestamp_iso")
-            .and_then(Value::as_str)
-            .unwrap_or("?");
-        let cores = e
-            .get("hardware")
-            .and_then(|h| h.get("detected_cores"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        let threads = e
-            .get("hardware")
-            .and_then(|h| h.get("threads_used"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        // Oversubscribed runs (threads > cores) measure scheduler
-        // contention, not scaling; flag them so their numbers are never
-        // read as capability data. Older entries lack the explicit flag,
-        // so fall back to comparing the two counts.
-        let oversubscribed = e
-            .get("hardware")
-            .and_then(|h| h.get("oversubscribed"))
-            .and_then(Value::as_bool)
-            .unwrap_or(cores > 0.0 && threads > cores);
-        let _ = write!(
-            out,
-            "<tr><td class=\"num\">{j}</td><td>{}</td><td class=\"num\">{cores}</td>\
-             <td class=\"num\">{threads}{}</td>",
-            html_escape(when),
-            if oversubscribed {
-                " <span class=\"status-warning\" title=\"threads &gt; detected cores: \
-                 not scaling data\">oversub</span>"
-            } else {
-                ""
-            }
-        );
-        for name in &stage_names {
-            let cell = e
-                .get("stages")
-                .and_then(|s| s.get(name))
-                .and_then(Value::as_f64)
-                .map_or_else(|| "\u{2014}".to_string(), fmt_sig);
-            let _ = write!(out, "<td class=\"num\">{cell}</td>");
-        }
-        out.push_str("</tr>");
-    }
-    out.push_str("</tbody></table></section>");
     out
 }
 
@@ -936,8 +791,6 @@ svg .axis{stroke:var(--baseline);stroke-width:1}\
 svg .threshold{stroke:var(--status-warning);stroke-width:1;stroke-dasharray:4 3}\
 svg .line{fill:none;stroke-width:2}\
 svg .tick{fill:var(--muted);font-size:10px;text-anchor:end}\
-.legend{display:flex;gap:1rem;margin-top:0.35rem;font-size:0.85rem;color:var(--text-secondary)}\
-.legend .swatch{display:inline-block;width:10px;height:10px;border-radius:2px;margin-right:0.35rem}\
 header p{color:var(--text-secondary)}";
 
 /// Renders the complete dashboard HTML document.
@@ -970,7 +823,7 @@ pub fn render(data: &DashboardData) -> String {
          <a href=\"#fleet\">Fleet</a><a href=\"#timeline\">Timeline</a>\
          <a href=\"#drift\">Drift</a>\
          <a href=\"#events\">Events</a><a href=\"#profile\">Profile</a>\
-         <a href=\"#metrics\">Metrics</a><a href=\"#bench\">Bench</a></nav></header>",
+         <a href=\"#metrics\">Metrics</a></nav></header>",
     );
     out.push_str(&health_section(data));
     out.push_str(&shard_section(data));
@@ -980,7 +833,6 @@ pub fn render(data: &DashboardData) -> String {
     out.push_str(&events_section(data));
     out.push_str(&profile_section(data));
     out.push_str(&metrics_section(data));
-    out.push_str(&bench_section(data));
     // Machine-readable copies of exactly what the page renders.
     let health_json = data
         .health
@@ -988,10 +840,6 @@ pub fn render(data: &DashboardData) -> String {
     let drift_json = data
         .drift
         .map_or_else(|| "null".to_string(), DriftTimeline::to_json);
-    let bench_json = data
-        .bench_history_json
-        .and_then(|s| json::parse(s).ok())
-        .map_or_else(|| "null".to_string(), |v| v.to_json());
     let _ = write!(
         out,
         "<script type=\"application/json\" id=\"health-data\">{}</script>",
@@ -1017,11 +865,6 @@ pub fn render(data: &DashboardData) -> String {
         out,
         "<script type=\"application/json\" id=\"fleet-data\">{}</script>",
         embed_json(&fleet_json)
-    );
-    let _ = write!(
-        out,
-        "<script type=\"application/json\" id=\"bench-data\">{}</script>",
-        embed_json(&bench_json)
     );
     // Timeline blob: every series (not just the drawn rows) plus the
     // alert engine state, so `trace_check` and offline tooling see the
@@ -1178,7 +1021,6 @@ mod tests {
     fn dashboard_contains_all_sections_and_embedded_json() {
         let health = health();
         let drift = drift();
-        let bench = r#"{"entries":[{"timestamp_iso":"2026-08-05T00:00:00Z","hardware":{"detected_cores":8,"threads_used":2},"stages":{"cv":1.5,"mc":0.5}}]}"#;
         let snap = snapshot();
         let run = RunContext::derive(2015, "dashboard test");
         let event_log = vec![
@@ -1270,7 +1112,6 @@ mod tests {
             drift: Some(&drift),
             shard: Some(&shard),
             fleet: Some(&fleet),
-            bench_history_json: Some(bench),
             timeseries: &timeseries,
             alerts_json: Some(alerts_json),
             refresh_s: Some(2),
@@ -1287,12 +1128,10 @@ mod tests {
             "id=\"timeline\"",
             "id=\"drift\"",
             "id=\"events\"",
-            "id=\"bench\"",
             "id=\"health-data\"",
             "id=\"drift-data\"",
             "id=\"shard-data\"",
             "id=\"fleet-data\"",
-            "id=\"bench-data\"",
             "id=\"timeline-data\"",
             "id=\"events-data\"",
         ] {
@@ -1308,7 +1147,6 @@ mod tests {
             "#events",
             "#profile",
             "#metrics",
-            "#bench",
         ] {
             assert!(page.contains(&format!("href=\"{target}\"")));
         }
@@ -1337,14 +1175,6 @@ mod tests {
         assert_eq!(health_v.get("overall").and_then(Value::as_str), Some("ok"));
         let drift_v = json::parse(&extract("drift-data")).expect("drift blob parses");
         assert_eq!(drift_v.get("overall").and_then(Value::as_str), Some("warn"));
-        let bench_v = json::parse(&extract("bench-data")).expect("bench blob parses");
-        assert_eq!(
-            bench_v
-                .get("entries")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(1)
-        );
         // Embedded events blob re-parses (its hostile </script> payload
         // included) and carries the run id per record.
         let events_v = json::parse(&extract("events-data")).expect("events blob parses");
@@ -1434,7 +1264,6 @@ mod tests {
             drift: None,
             shard: None,
             fleet: None,
-            bench_history_json: None,
             timeseries: &[],
             alerts_json: None,
             refresh_s: None,
@@ -1446,7 +1275,6 @@ mod tests {
             "id=\"timeline\"",
             "id=\"drift\"",
             "id=\"events\"",
-            "id=\"bench\"",
             "id=\"health-data\"",
             "id=\"fleet-data\"",
             "id=\"timeline-data\"",

@@ -2,7 +2,7 @@
 //! metrics snapshot JSON.
 //!
 //! All three embed a [`HardwareContext`] so committed artifacts say what
-//! machine produced them — the PR 1 bench numbers came from a 1-core CI
+//! machine produced them — early scaling numbers came from a 1-core CI
 //! container and were misread as a scaling regression precisely because
 //! the file did not say so.
 
@@ -513,8 +513,7 @@ mod tests {
             let val = hist.get(key).expect("percentile key present");
             assert!(
                 matches!(val, Value::Null),
-                "{key} must be null on an empty histogram, got {}",
-                val.to_json()
+                "{key} must be null on an empty histogram, got {val:?}"
             );
             assert!(val.as_f64().is_none(), "{key} must not read as a number");
         }

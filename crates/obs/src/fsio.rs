@@ -1,7 +1,7 @@
 //! Crash-safe artifact writes: write-temp-then-rename.
 //!
 //! Every artifact the workspace persists — reports, dashboards, event
-//! logs, traces, metrics snapshots, bench history, flight dumps, shard
+//! logs, traces, metrics snapshots, flight dumps, shard
 //! packets — goes through [`atomic_write`]. The contents are written to
 //! a sibling temporary file in the destination directory (so the final
 //! rename never crosses a filesystem boundary) and the file only

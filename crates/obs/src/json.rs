@@ -1,7 +1,7 @@
 //! Minimal JSON support shared across the workspace.
 //!
 //! The vendored `serde` is a marker facade (no real serialization), so
-//! every JSON artifact in this repo — `FusionReport`, the bench files,
+//! every JSON artifact in this repo — `FusionReport`, shard packets,
 //! the trace/profile/metrics exports — is hand-rolled. This module
 //! centralises the two fragile parts: string [`escape`]-ing and float
 //! formatting on the write side, and a small recursive-descent
@@ -97,53 +97,6 @@ impl Value {
         match self {
             Value::Number(n) => Some(*n),
             _ => None,
-        }
-    }
-
-    /// Serializes this value back to compact JSON text. Object keys come
-    /// out in `BTreeMap` (alphabetical) order, so a parse → serialize
-    /// round trip is deterministic even if the source ordering was not.
-    /// Non-finite numbers follow the [`number`] convention (encoded as
-    /// strings), so `to_json` output always re-parses.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(n) => out.push_str(&number(*n)),
-            Value::String(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_json(out);
-                }
-                out.push(']');
-            }
-            Value::Object(map) => {
-                out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str("\":");
-                    value.write_json(out);
-                }
-                out.push('}');
-            }
         }
     }
 }
@@ -494,19 +447,6 @@ mod tests {
         assert_eq!(events[0].get("ph").and_then(Value::as_str), Some("X"));
         assert_eq!(events[0].get("dur").and_then(Value::as_f64), Some(2000.0));
         assert_eq!(v.get("unicode").and_then(Value::as_str), Some("µ and 🦀"));
-    }
-
-    #[test]
-    fn value_to_json_round_trips() {
-        let doc = r#"{"b":[1,2.5,null,true],"a":{"nested":"tricky \" \\ \n text"},"n":-1e-3}"#;
-        let parsed = parse(doc).unwrap();
-        let emitted = parsed.to_json();
-        // Re-parsing the emitted text yields the same tree.
-        assert_eq!(parse(&emitted).unwrap(), parsed);
-        // Keys serialize alphabetically (BTreeMap order), so the emitted
-        // form is itself a fixed point.
-        assert_eq!(parse(&emitted).unwrap().to_json(), emitted);
-        assert!(emitted.starts_with("{\"a\":"));
     }
 
     #[test]

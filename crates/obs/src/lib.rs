@@ -48,7 +48,7 @@
 //!   The math that fills these types lives in `bmf_core`.
 //! * **[`dashboard`]** — a zero-dependency, self-contained HTML
 //!   dashboard (inline CSS + SVG, no JavaScript) combining profile,
-//!   metrics, health, drift and bench history in one static page.
+//!   metrics, health, drift, shards and time series in one static page.
 //! * **[`cli`]** — `--trace-out/--profile/--metrics-out/--dashboard-out`
 //!   flag handling shared by `bmf` and the figure binaries.
 //!
@@ -102,7 +102,7 @@ pub mod shard;
 pub mod span;
 pub mod tsdb;
 
-pub use cli::{ObsOptions, BENCH_HISTORY_FILE};
+pub use cli::ObsOptions;
 pub use event::{EventRecord, Heartbeat, Level, ProgressEntry, RateLimiter};
 pub use export::{chrome_trace_json, metrics_json, profile_json, profile_table, HardwareContext};
 pub use fsio::atomic_write;

@@ -6,9 +6,9 @@
 //! is a *name* for the run's inputs, not a nonce). Binaries install the
 //! context once via [`ObsOptions::set_run`](crate::cli::ObsOptions::set_run);
 //! the id is then stamped into every JSONL event line, the
-//! `FusionReport`, the Chrome trace and metrics exports, the bench
-//! history entries, the dashboard and any flight-recorder dump, letting
-//! offline tools join them without guessing by timestamp.
+//! `FusionReport`, the Chrome trace and metrics exports, the dashboard
+//! and any flight-recorder dump, letting offline tools join them
+//! without guessing by timestamp.
 
 use std::sync::Mutex;
 

@@ -349,7 +349,6 @@ fn render_dashboard() -> Response {
     let snapshot = crate::metrics::snapshot();
     let run = crate::run::current();
     let hardware = live_hardware();
-    let bench_history = std::fs::read_to_string(crate::cli::BENCH_HISTORY_FILE).ok();
     let flight_dump = crate::flight::last_dump();
     let timeseries = crate::tsdb::snapshot();
     let alerts_json = crate::alert::installed().then(crate::alert::render_json);
@@ -371,7 +370,6 @@ fn render_dashboard() -> Response {
             drift: l.drift.as_ref(),
             shard: l.shard.as_ref(),
             fleet: l.fleet.as_ref(),
-            bench_history_json: bench_history.as_deref(),
             timeseries: &timeseries,
             alerts_json: alerts_json.as_deref(),
             // The live page re-fetches itself so sparklines move while

@@ -152,8 +152,7 @@ pub struct FleetShardRow {
 /// Fleet-wide view folded from per-shard packet telemetry at merge
 /// time: per-shard rows plus straggler detection as the slowest/median
 /// wall-clock ratio. Only shards whose packets carried telemetry
-/// appear (version-1 packets, or shards run with recording off,
-/// contribute stats but no row).
+/// appear (quiet shards contribute stats but no row).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSummary {
     /// Run id the packets were stamped with.

@@ -17,6 +17,13 @@
 //! teardown. Relying on the TLS destructor alone would let a caller
 //! drain the sink after the join but before a worker's flush landed.
 //!
+//! Work handed to scoped workers stays inside its spawning span: the
+//! spawner captures a [`Fork`] of its open span, the workers open their
+//! outermost spans through it (one level below the spawning span), and
+//! [`Fork::join`] takes the wall time the workers' spans cover out of
+//! the spawning span's self time. So self times add up to wall-clock ×
+//! threads instead of counting worker time twice.
+//!
 //! Timestamps are nanoseconds since the process-wide epoch (anchored the
 //! first time anything asks for the clock), from a monotonic
 //! [`Instant`]; they are never fed back into any computation, so
@@ -83,6 +90,9 @@ struct Frame {
 /// backstop for events left behind by leaked or unbalanced guards.
 struct ThreadBuffer {
     tid: u64,
+    /// Depth of the stack's bottom frame: 0, or one below the spawning
+    /// span when the outermost span was opened through a [`Fork`].
+    base_depth: u32,
     stack: Vec<Frame>,
     events: Vec<SpanEvent>,
 }
@@ -91,9 +101,21 @@ impl ThreadBuffer {
     fn new() -> Self {
         ThreadBuffer {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+            base_depth: 0,
             stack: Vec::new(),
             events: Vec::new(),
         }
+    }
+
+    /// Opens a frame and returns its start time.
+    fn push(&mut self, name: &'static str) -> u64 {
+        let start_ns = now_ns();
+        self.stack.push(Frame {
+            name,
+            start_ns,
+            child_ns: 0,
+        });
+        start_ns
     }
 }
 
@@ -130,15 +152,103 @@ pub fn span(name: &'static str) -> Span {
     if !crate::is_enabled() {
         return Span { armed: false };
     }
-    let start_ns = now_ns();
-    BUFFER.with(|b| {
-        b.borrow_mut().stack.push(Frame {
-            name,
-            start_ns,
-            child_ns: 0,
-        });
-    });
+    BUFFER.with(|b| b.borrow_mut().push(name));
     Span { armed: true }
+}
+
+/// The span open on a spawning thread when it hands work to scoped
+/// workers, captured by [`fork`] and lent to every worker.
+#[derive(Debug)]
+pub struct Fork {
+    /// Depth the workers' outermost spans open at; `None` when
+    /// recording was off at the fork.
+    depth: Option<u32>,
+    /// Earliest worker-span open and latest close. Relaxed is enough:
+    /// these publish no other data, and [`Fork::join`] reads them after
+    /// the scope join ordered every worker's update before it.
+    first_open_ns: AtomicU64,
+    last_close_ns: AtomicU64,
+}
+
+/// Captures the calling thread's open span before it spawns scoped
+/// workers. When recording is disabled this is one relaxed atomic
+/// load, like [`span`].
+#[inline]
+pub fn fork() -> Fork {
+    let depth = crate::is_enabled().then(|| {
+        BUFFER.with(|b| {
+            let buf = b.borrow();
+            buf.base_depth + buf.stack.len() as u32
+        })
+    });
+    Fork {
+        depth,
+        first_open_ns: AtomicU64::new(u64::MAX),
+        last_close_ns: AtomicU64::new(0),
+    }
+}
+
+impl Fork {
+    /// Opens `name` on a worker thread as a child of the forked span.
+    /// Nested spans inside it then sit deeper still, exactly as if the
+    /// work had run on the spawning thread.
+    pub fn span(&self, name: &'static str) -> ForkSpan<'_> {
+        let Some(depth) = self.depth else {
+            return ForkSpan {
+                span: Some(span(name)),
+                fork: None,
+            };
+        };
+        let start_ns = BUFFER.with(|b| {
+            let mut buf = b.borrow_mut();
+            if buf.stack.is_empty() {
+                buf.base_depth = depth;
+            }
+            buf.push(name)
+        });
+        self.first_open_ns.fetch_min(start_ns, Ordering::Relaxed);
+        ForkSpan {
+            span: Some(Span { armed: true }),
+            fork: Some(self),
+        }
+    }
+
+    /// Call on the spawning thread once every worker has joined. The
+    /// wall time from the first worker span's open to the last one's
+    /// close is covered by the workers, so it counts as child time of
+    /// the span that was open at the fork. Thread spawn and join costs
+    /// outside that window stay the spawning span's own.
+    pub fn join(self) {
+        if self.depth.is_none() {
+            return;
+        }
+        let covered = self
+            .last_close_ns
+            .into_inner()
+            .saturating_sub(self.first_open_ns.into_inner());
+        BUFFER.with(|b| {
+            if let Some(top) = b.borrow_mut().stack.last_mut() {
+                top.child_ns += covered;
+            }
+        });
+    }
+}
+
+/// RAII guard returned by [`Fork::span`]: a [`Span`] that also reports
+/// its close to the fork.
+#[must_use = "a span measures the scope it lives in; bind it to a variable"]
+pub struct ForkSpan<'a> {
+    span: Option<Span>,
+    fork: Option<&'a Fork>,
+}
+
+impl Drop for ForkSpan<'_> {
+    fn drop(&mut self) {
+        drop(self.span.take());
+        if let Some(fork) = self.fork {
+            fork.last_close_ns.fetch_max(now_ns(), Ordering::Relaxed);
+        }
+    }
 }
 
 impl Drop for Span {
@@ -154,7 +264,7 @@ impl Drop for Span {
             };
             let dur_ns = end_ns.saturating_sub(frame.start_ns);
             let self_ns = dur_ns.saturating_sub(frame.child_ns);
-            let depth = buf.stack.len() as u32;
+            let depth = buf.base_depth + buf.stack.len() as u32;
             if let Some(parent) = buf.stack.last_mut() {
                 parent.child_ns += dur_ns;
             }
@@ -170,6 +280,7 @@ impl Drop for Span {
             if buf.stack.is_empty() {
                 // Outermost close: hand the batch to the sink so it is
                 // visible to other threads before any join completes.
+                buf.base_depth = 0;
                 std::mem::take(&mut buf.events)
             } else {
                 Vec::new()
@@ -294,6 +405,34 @@ mod tests {
         // Distinct worker threads got distinct tids.
         let tids: std::collections::HashSet<u64> = events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 3);
+        crate::reset();
+    }
+
+    #[test]
+    fn forked_worker_time_leaves_the_spawning_span() {
+        let _g = test_lock();
+        crate::reset();
+        crate::enable();
+        {
+            let _outer = span("outer");
+            let fork = fork();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _w = fork.span("worker");
+                    let _inner = span("inner");
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                });
+            });
+            fork.join();
+        }
+        crate::disable();
+        let events = take_events();
+        let get = |name| events.iter().find(|e| e.name == name).unwrap();
+        let (outer, worker, inner) = (get("outer"), get("worker"), get("inner"));
+        assert_eq!((outer.depth, worker.depth, inner.depth), (0, 1, 2));
+        // The worker span's time is not the outer span's self time.
+        assert!(outer.self_ns + worker.dur_ns <= outer.dur_ns);
+        assert_ne!(outer.tid, worker.tid);
         crate::reset();
     }
 

@@ -112,15 +112,18 @@ where
     let mut slots: Vec<Option<U>> = Vec::with_capacity(len);
     slots.resize_with(len, || None);
     let mut first_panic: Option<WorkerPanic> = None;
+    // The workers' spans nest under the caller's open span, and the
+    // caller's wait leaves that span's self time at the join.
+    let fork = bmf_obs::span::fork();
 
     std::thread::scope(|scope| {
-        let f = &f;
+        let (f, fork) = (&f, &fork);
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
                 scope.spawn(move || {
                     // Worker span closes before the thread exits, so its
                     // event rides the TLS-buffer merge at scope join.
-                    let _span = bmf_obs::span("parallel.worker");
+                    let _span = fork.span("parallel.worker");
                     (worker..len)
                         .step_by(threads)
                         .map(|i| (i, f(i)))
@@ -146,6 +149,7 @@ where
             }
         }
     });
+    fork.join();
 
     if let Some(p) = first_panic {
         return Err(p);

@@ -48,8 +48,8 @@ use bmf_ams::circuits::monte_carlo::{
 };
 use bmf_ams::circuits::opamp::OpAmpTestbench;
 use bmf_ams::circuits::shard::{
-    fleet_trace_json, merge_packet_texts, run_shard, MergeOutcome, MergePolicy, StageMoments,
-    StudyConfig,
+    fleet_trace_json, merge_packet_texts, run_shard, MergeOutcome, MergePolicy, ShardPacket,
+    ShardTelemetry, StageMoments, StudyConfig,
 };
 use bmf_ams::circuits::CircuitError;
 use bmf_ams::core::io::{
@@ -196,7 +196,7 @@ fn print_usage() {
     println!("an aggregated per-span profile, --metrics-out <json> writes a counter/");
     println!("histogram snapshot, --dashboard-out <html> writes a self-contained");
     println!("HTML dashboard (profile, metrics, estimator health, shard coverage,");
-    println!("drift timeline, and bench history when BENCH_history.json is present),");
+    println!("drift timeline, fleet telemetry and time series),");
     println!("--events-out <jsonl> writes the structured event log (one JSON object");
     println!("per line: retries, repairs, ladder transitions, guard flags, shard");
     println!("merges/rejects), each stamped with the run id that also appears in the");
@@ -620,7 +620,18 @@ fn cmd_shard(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
     obs.set_threads(threads);
     obs.set_run(config.seed, &config.canonical());
 
-    let packet = run_shard(&config, index, threads).map_err(rt)?;
+    // A recording run ships its telemetry in the packet; a quiet run's
+    // packet holds the statistics alone.
+    let packet = if obs.any() {
+        let (packet, telemetry) = ShardTelemetry::record(|| run_shard(&config, index, threads));
+        packet.map(|p| ShardPacket {
+            telemetry: Some(telemetry),
+            ..p
+        })
+    } else {
+        run_shard(&config, index, threads)
+    }
+    .map_err(rt)?;
 
     // Chaos hook: BMF_SHARD_KILL=<index> simulates a crash in the window
     // after the shard's simulation work but before the packet rename —

@@ -173,7 +173,6 @@ fn estimates_bit_identical_with_health_drift_and_dashboard_active() {
                     shard: None,
                     fleet: None,
                     drift: Some(&timeline),
-                    bench_history_json: None,
                     timeseries: &[],
                     alerts_json: None,
                     refresh_s: None,
@@ -251,7 +250,6 @@ fn dashboard_document_contains_every_section_and_blob() {
     let timeline = monitor.into_timeline();
     let snapshot = bmf_ams::obs::metrics::snapshot();
     let hardware = HardwareContext::detect(1);
-    let bench = r#"{"entries":[{"timestamp_iso":"2026-01-01T00:00:00Z","quick":true,"hardware":{"detected_cores":8,"threads_used":2},"stages":{"cv_select_default_grid":1.5}}]}"#;
     let html = render(&DashboardData {
         title: "sections test",
         hardware: &hardware,
@@ -265,7 +263,6 @@ fn dashboard_document_contains_every_section_and_blob() {
         shard: None,
         fleet: None,
         drift: Some(&timeline),
-        bench_history_json: Some(bench),
         timeseries: &[],
         alerts_json: None,
         refresh_s: None,
@@ -276,11 +273,9 @@ fn dashboard_document_contains_every_section_and_blob() {
         "health",
         "drift",
         "events",
-        "bench",
         "health-data",
         "drift-data",
         "events-data",
-        "bench-data",
     ] {
         assert!(
             html.contains(&format!("id=\"{id}\"")),
