@@ -3,15 +3,15 @@
 //! [`render`] turns one run's observability artifacts — profile, metrics
 //! snapshot, [`HealthReport`], [`DriftTimeline`], shard coverage, fleet
 //! telemetry and time series — into a single static HTML document with
-//! inline CSS and SVG.
-//! No JavaScript, no external assets, no network: the file opens
-//! anywhere a browser does, which is the whole point of a dashboard you
-//! can attach to a CI artifact or an email.
+//! inline CSS and SVG. No JavaScript, no external assets, no network:
+//! the file opens anywhere a browser does, which is the whole point of
+//! a dashboard you can attach to a CI artifact or an email.
 //!
-//! Charts are rendered server-side as SVG polylines. The raw
-//! health/drift/shard/fleet/timeline JSON is also embedded verbatim in inert
-//! `<script type="application/json">` blocks so downstream tooling (and
-//! the `trace_check` CI gate) can re-parse exactly what the page shows.
+//! Charts are rendered server-side as SVG polylines. The raw health,
+//! drift, shard, fleet, timeline and event JSON is also embedded
+//! verbatim in inert `<script type="application/json">` blocks so
+//! downstream tooling (and the `trace_check` CI gate) can re-parse
+//! exactly what the page shows.
 //!
 //! Styling follows the repo's chart conventions: categorical series
 //! colors in fixed slot order (blue, orange, aqua — the three slots that
