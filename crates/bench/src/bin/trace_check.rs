@@ -37,15 +37,6 @@
 //! * `--fleet <path>` — the `fleet-<run_id>.json` artifact `bmf merge`
 //!   writes must carry `run_id`, wall-clock aggregates, and per-shard
 //!   rows whose straggler flags agree with the `stragglers` list.
-//! * `--timeseries <url-or-file>` — a `/timeseries` document (the
-//!   `--obs-listen` server's sampled history): at least one series,
-//!   every series name in the tsdb charset, per-series timestamps
-//!   strictly increasing and values finite.
-//! * `--alerts <url-or-file>` — a `/alerts` document: every rule in a
-//!   legal state (`ok`/`pending`/`firing`) with consistent counters
-//!   (`resolved_count <= fired_count`, a firing rule has fired more
-//!   often than it resolved), and the `firing`/`critical_firing`
-//!   rollups agreeing with the rule rows.
 //! * `--fleet-trace <path>` — a stitched fleet trace from
 //!   `bmf merge --fleet-trace-out`: the Perfetto shape checks of
 //!   `--trace` plus one `thread_name` track per stitched shard and the
@@ -171,8 +162,7 @@ fn check_flight(doc: &Value) -> Result<(String, usize), String> {
 }
 
 /// Fetches a check's input text: a one-shot `http://` GET against the
-/// live `--obs-listen` server (`/metrics`, `/timeseries`, `/alerts`),
-/// or a plain file read for anything else. The server closes every
+/// live `--obs-listen` server's `/metrics`, or a plain file read for anything else. The server closes every
 /// connection, so read-to-EOF frames the body.
 fn fetch_source(source: &str) -> Result<String, String> {
     let Some(rest) = source.strip_prefix("http://") else {
@@ -258,147 +248,6 @@ fn check_fleet(doc: &Value) -> Result<(usize, usize), String> {
         ));
     }
     Ok((shards.len(), flagged.len()))
-}
-
-/// Validates a `/timeseries` document (`bmf_obs::tsdb::render_json`):
-/// a numeric `now_ms`, at least one series, legal series names, and
-/// per-series strictly increasing timestamps with finite values.
-fn check_timeseries(doc: &Value) -> Result<(usize, usize), String> {
-    if doc.get("now_ms").and_then(Value::as_f64).is_none() {
-        return Err("timeseries has no numeric now_ms".to_string());
-    }
-    let series = doc
-        .get("series")
-        .and_then(Value::as_array)
-        .ok_or("timeseries has no series array")?;
-    if series.is_empty() {
-        return Err("timeseries has no series (sampler never ticked?)".to_string());
-    }
-    let mut total_points = 0usize;
-    for (i, s) in series.iter().enumerate() {
-        let name = s
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("series {i} has no name string"))?;
-        let legal_first = |c: char| c.is_ascii_alphabetic() || c == '_';
-        let legal_rest = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '.';
-        if !name.starts_with(legal_first) || !name.chars().all(legal_rest) {
-            return Err(format!("series name {name:?} has illegal characters"));
-        }
-        match s.get("downsample").and_then(Value::as_f64) {
-            Some(d) if d >= 1.0 => {}
-            _ => return Err(format!("series {name} has no downsample factor >= 1")),
-        }
-        let points = s
-            .get("points")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("series {name} has no points array"))?;
-        let mut last_ts = -1.0f64;
-        for (j, p) in points.iter().enumerate() {
-            let pair = p
-                .as_array()
-                .filter(|pair| pair.len() == 2)
-                .ok_or_else(|| format!("series {name} point {j} is not a [ts,value] pair"))?;
-            let ts = pair[0]
-                .as_f64()
-                .ok_or_else(|| format!("series {name} point {j} has no numeric timestamp"))?;
-            let v = pair[1]
-                .as_f64()
-                .ok_or_else(|| format!("series {name} point {j} has no numeric value"))?;
-            if ts <= last_ts {
-                return Err(format!(
-                    "series {name} point {j}: timestamp {ts} is not strictly increasing"
-                ));
-            }
-            last_ts = ts;
-            if !v.is_finite() {
-                return Err(format!("series {name} point {j} has non-finite value"));
-            }
-        }
-        total_points += points.len();
-    }
-    Ok((series.len(), total_points))
-}
-
-/// Validates a `/alerts` document (`bmf_obs::alert::render_json`):
-/// legal per-rule states with self-consistent fire/resolve counters,
-/// and the `firing` / `critical_firing` rollups agreeing with the rows.
-fn check_alerts(doc: &Value) -> Result<(usize, usize), String> {
-    let rules = doc
-        .get("rules")
-        .and_then(Value::as_array)
-        .ok_or("alerts has no rules array")?;
-    let mut firing = 0usize;
-    let mut critical_firing = false;
-    for (i, r) in rules.iter().enumerate() {
-        let name = r
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("rule {i} has no name string"))?;
-        match r.get("kind").and_then(Value::as_str) {
-            Some("threshold" | "rate" | "health" | "drift") => {}
-            other => return Err(format!("rule {name} has unknown kind {other:?}")),
-        }
-        let severity = match r.get("severity").and_then(Value::as_str) {
-            Some(s @ ("ok" | "warn" | "critical")) => s,
-            other => return Err(format!("rule {name} has invalid severity {other:?}")),
-        };
-        let state = match r.get("state").and_then(Value::as_str) {
-            Some(s @ ("ok" | "pending" | "firing")) => s,
-            other => return Err(format!("rule {name} has invalid state {other:?}")),
-        };
-        let count = |key: &str| -> Result<f64, String> {
-            r.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("rule {name} has no numeric {key}"))
-        };
-        let fired = count("fired_count")?;
-        let resolved = count("resolved_count")?;
-        count("suppressed")?;
-        if resolved > fired {
-            return Err(format!(
-                "rule {name}: resolved_count {resolved} exceeds fired_count {fired}"
-            ));
-        }
-        match state {
-            "firing" => {
-                if fired <= resolved {
-                    return Err(format!(
-                        "rule {name} is firing but fired_count {fired} <= resolved_count {resolved}"
-                    ));
-                }
-                if r.get("since_ms").and_then(Value::as_f64).is_none() {
-                    return Err(format!("rule {name} is firing with no since_ms"));
-                }
-                firing += 1;
-                critical_firing |= severity == "critical";
-            }
-            "ok" if fired != resolved => {
-                return Err(format!(
-                    "rule {name} is ok but fired_count {fired} != resolved_count {resolved}"
-                ));
-            }
-            _ => {}
-        }
-    }
-    match doc.get("firing").and_then(Value::as_f64) {
-        Some(n) if n == firing as f64 => {}
-        other => {
-            return Err(format!(
-                "firing rollup {other:?} disagrees with {firing} firing rule(s)"
-            ))
-        }
-    }
-    match doc.get("critical_firing").and_then(Value::as_bool) {
-        Some(b) if b == critical_firing => {}
-        other => {
-            return Err(format!(
-                "critical_firing rollup {other:?} disagrees with the rule rows \
-                 (expected {critical_firing})"
-            ))
-        }
-    }
-    Ok((rules.len(), firing))
 }
 
 /// Validates a stitched fleet trace (`bmf merge --fleet-trace-out`):
@@ -609,22 +458,20 @@ fn embedded_json(html: &str, id: &str) -> Result<Value, String> {
     bmf_obs::json::parse(&raw).map_err(|e| format!("blob {id} is not valid JSON: {e}"))
 }
 
-/// The ids the dashboard always renders: the eight section anchors
-/// plus the six machine-readable JSON blobs.
-const DASHBOARD_IDS: [&str; 14] = [
+/// The ids the dashboard always renders: the seven section anchors
+/// plus the five machine-readable JSON blobs.
+const DASHBOARD_IDS: [&str; 12] = [
     "profile",
     "metrics",
     "health",
     "shard",
     "fleet",
-    "timeline",
     "drift",
     "events",
     "health-data",
     "drift-data",
     "shard-data",
     "fleet-data",
-    "timeline-data",
     "events-data",
 ];
 
@@ -705,8 +552,6 @@ fn main() -> ExitCode {
     let flight = grab("--flight");
     let prom = grab("--prom");
     let fleet = grab("--fleet");
-    let timeseries = grab("--timeseries");
-    let alerts = grab("--alerts");
     let fleet_trace = grab("--fleet-trace");
     let expect_health = grab("--expect-health");
     if let Some(sev) = expect_health.as_deref() {
@@ -735,16 +580,13 @@ fn main() -> ExitCode {
         && flight.is_none()
         && prom.is_none()
         && fleet.is_none()
-        && timeseries.is_none()
-        && alerts.is_none()
         && fleet_trace.is_none()
     {
         bmf_obs::error!(
             "usage: trace_check [--trace <json>] [--metrics <json>] [--expect-counter <name>]... \
              [--dashboard <html>] [--expect-health <ok|warn|critical>] \
              [--events <jsonl>] [--expect-event <kind>]... [--flight <json>] \
-             [--prom <url-or-file>] [--fleet <json>] [--timeseries <url-or-file>] \
-             [--alerts <url-or-file>] [--fleet-trace <json>]"
+             [--prom <url-or-file>] [--fleet <json>] [--fleet-trace <json>]"
         );
         return ExitCode::FAILURE;
     }
@@ -822,34 +664,6 @@ fn main() -> ExitCode {
                 "trace_check: {path}: well-formed fleet summary, {shards} shard(s), {stragglers} straggler(s)"
             ),
             Err(e) => return fail(&format!("{path}: {e}")),
-        }
-    }
-    if let Some(source) = timeseries {
-        let doc = match fetch_source(&source)
-            .and_then(|text| bmf_obs::json::parse(&text).map_err(|e| format!("{source}: {e}")))
-        {
-            Ok(doc) => doc,
-            Err(e) => return fail(&e),
-        };
-        match check_timeseries(&doc) {
-            Ok((series, points)) => bmf_obs::outln!(
-                "trace_check: {source}: well-formed timeseries, {series} series, {points} point(s)"
-            ),
-            Err(e) => return fail(&format!("{source}: {e}")),
-        }
-    }
-    if let Some(source) = alerts {
-        let doc = match fetch_source(&source)
-            .and_then(|text| bmf_obs::json::parse(&text).map_err(|e| format!("{source}: {e}")))
-        {
-            Ok(doc) => doc,
-            Err(e) => return fail(&e),
-        };
-        match check_alerts(&doc) {
-            Ok((rules, firing)) => bmf_obs::outln!(
-                "trace_check: {source}: consistent alert engine, {rules} rule(s), {firing} firing"
-            ),
-            Err(e) => return fail(&format!("{source}: {e}")),
         }
     }
     if let Some(path) = fleet_trace {

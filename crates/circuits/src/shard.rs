@@ -48,10 +48,6 @@ pub const TELEMETRY_EVENT_TAIL: usize = 32;
 pub const TELEMETRY_SPAN_CAP: usize = 64;
 /// Deepest span nesting the trace summary keeps: stage-level work only.
 pub const TELEMETRY_SPAN_DEPTH: u32 = 1;
-/// Most series a packet's time-series digest carries.
-pub const TELEMETRY_SERIES_CAP: usize = 32;
-/// Most (newest) points each digested series keeps.
-pub const TELEMETRY_SERIES_TAIL: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Study configuration
@@ -518,19 +514,6 @@ pub struct SpanSummary {
     pub dur_ns: u64,
 }
 
-/// Tail digest of one in-process time-series ring, shipped with the
-/// packet so the merge can chart the fleet's recent behaviour. Values
-/// are stored as `f64` bit patterns: the digest round-trips through
-/// JSON byte-exactly and the type stays `Eq`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesDigest {
-    /// Series name (charset as in `bmf_obs::tsdb`).
-    pub name: String,
-    /// Newest `(timestamp_ms, value_bits)` points, oldest first, at
-    /// most [`TELEMETRY_SERIES_TAIL`].
-    pub points: Vec<(u64, u64)>,
-}
-
 /// Per-shard observability telemetry carried in a packet so a merge can
 /// build a fleet view without the shards' processes being alive.
 /// [`run_shard`] never captures it: the caller decides, by wrapping the
@@ -558,8 +541,6 @@ pub struct ShardTelemetry {
     /// [`TELEMETRY_SPAN_DEPTH`] recorded during the shard run, the
     /// [`TELEMETRY_SPAN_CAP`] longest, in start order.
     pub spans: Vec<SpanSummary>,
-    /// Time-series tail digest at shard completion.
-    pub timeseries: Vec<SeriesDigest>,
     /// Unix wall clock when the shard run started, milliseconds
     /// (`0` = unknown). Observability only — never merged into
     /// statistics.
@@ -582,8 +563,8 @@ impl ShardTelemetry {
 
     /// Runs `run` (normally a [`run_shard`] call) and captures the
     /// telemetry it produced: wall time, the counter and histogram
-    /// deltas, and the event tail, span summary and time-series digest
-    /// visible to the calling thread. Counters, events and spans only
+    /// deltas, and the event tail and span summary visible to the
+    /// calling thread. Counters, events and spans only
     /// move while `bmf_obs` records; the wall-clock fields are always
     /// filled. Capturing observes the run, never perturbs it.
     pub fn record<T>(run: impl FnOnce() -> T) -> (T, ShardTelemetry) {
@@ -640,26 +621,12 @@ impl ShardTelemetry {
         spans.sort_by_key(|s| std::cmp::Reverse(s.dur_ns));
         spans.truncate(TELEMETRY_SPAN_CAP);
         spans.sort_by(|a, b| (a.start_ns, &a.name).cmp(&(b.start_ns, &b.name)));
-        let timeseries = bmf_obs::tsdb::snapshot()
-            .into_iter()
-            .take(TELEMETRY_SERIES_CAP)
-            .map(|s| SeriesDigest {
-                name: s.name,
-                points: s
-                    .points
-                    .iter()
-                    .skip(s.points.len().saturating_sub(TELEMETRY_SERIES_TAIL))
-                    .map(|&(t, v)| (t, v.to_bits()))
-                    .collect(),
-            })
-            .collect();
         let telemetry = ShardTelemetry {
             wall_ns,
             counters,
             histograms,
             events,
             spans,
-            timeseries,
             start_unix_ms,
             end_unix_ms: unix_ms_now(),
         };
@@ -707,30 +674,13 @@ impl ShardTelemetry {
                 )
             })
             .collect();
-        let timeseries: Vec<String> = self
-            .timeseries
-            .iter()
-            .map(|d| {
-                let points: Vec<String> = d
-                    .points
-                    .iter()
-                    .map(|(t, bits)| format!("[{t},\"{bits:016x}\"]"))
-                    .collect();
-                format!(
-                    "{{\"name\":{},\"points\":[{}]}}",
-                    json::string(&d.name),
-                    points.join(","),
-                )
-            })
-            .collect();
         format!(
-            "{{\"wall_ns\":{},\"counters\":[{}],\"histograms\":[{}],\"events\":[{}],\"spans\":[{}],\"timeseries\":[{}],\"start_unix_ms\":{},\"end_unix_ms\":{}}}",
+            "{{\"wall_ns\":{},\"counters\":[{}],\"histograms\":[{}],\"events\":[{}],\"spans\":[{}],\"start_unix_ms\":{},\"end_unix_ms\":{}}}",
             self.wall_ns,
             counters.join(","),
             histograms.join(","),
             events.join(","),
             spans.join(","),
-            timeseries.join(","),
             self.start_unix_ms,
             self.end_unix_ms,
         )
@@ -824,41 +774,6 @@ impl ShardTelemetry {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        let timeseries = v
-            .get("timeseries")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("telemetry field timeseries missing".to_string()))?
-            .iter()
-            .map(|d| {
-                let points = d
-                    .get("points")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| corrupt("telemetry series points missing".to_string()))?
-                    .iter()
-                    .map(|p| {
-                        let pair = p.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                            corrupt("telemetry series point is not a [ts, bits] pair".to_string())
-                        })?;
-                        let ts = nat(&pair[0], "series point timestamp")?;
-                        let bits = pair[1]
-                            .as_str()
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| {
-                                corrupt("telemetry series value is not 64-bit hex".to_string())
-                            })?;
-                        Ok((ts, bits))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(SeriesDigest {
-                    name: d
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| corrupt("telemetry series name missing".to_string()))?
-                        .to_string(),
-                    points,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
         let ms = |key: &str| nat(v.get(key).unwrap_or(&Value::Null), key);
         Ok(ShardTelemetry {
             wall_ns,
@@ -866,7 +781,6 @@ impl ShardTelemetry {
             histograms,
             events,
             spans,
-            timeseries,
             start_unix_ms: ms("start_unix_ms")?,
             end_unix_ms: ms("end_unix_ms")?,
         })
@@ -1175,8 +1089,8 @@ pub struct MergeOutcome {
     pub fleet: Option<FleetSummary>,
     /// Raw per-shard telemetry retained from telemetry-bearing packets
     /// (`(shard_index, telemetry)`, ascending index) so downstream
-    /// tooling — the stitched fleet trace — can see the spans and
-    /// time-series digests, not just the folded summary.
+    /// tooling — the stitched fleet trace — can see the span
+    /// summaries and event tails, not just the folded summary.
     pub telemetry: Vec<(usize, ShardTelemetry)>,
 }
 
@@ -1659,7 +1573,6 @@ mod tests {
             histograms: Vec::new(),
             events: Vec::new(),
             spans,
-            timeseries: Vec::new(),
             start_unix_ms,
             end_unix_ms: start_unix_ms + 1,
         };

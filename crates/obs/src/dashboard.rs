@@ -1,17 +1,16 @@
 //! Self-contained HTML dashboard exporter.
 //!
 //! [`render`] turns one run's observability artifacts — profile, metrics
-//! snapshot, [`HealthReport`], [`DriftTimeline`], shard coverage, fleet
-//! telemetry and time series — into a single static HTML document with
-//! inline CSS and SVG. No JavaScript, no external assets, no network:
-//! the file opens anywhere a browser does, which is the whole point of
-//! a dashboard you can attach to a CI artifact or an email.
+//! snapshot, [`HealthReport`], [`DriftTimeline`], shard coverage and
+//! fleet telemetry — into a single static HTML document with inline CSS
+//! and SVG. No JavaScript, no external assets, no network: the file
+//! opens anywhere a browser does, which is the whole point of a
+//! dashboard you can attach to a CI artifact or an email.
 //!
 //! Charts are rendered server-side as SVG polylines. The raw health,
-//! drift, shard, fleet, timeline and event JSON is also embedded
-//! verbatim in inert `<script type="application/json">` blocks so
-//! downstream tooling (and the `trace_check` CI gate) can re-parse
-//! exactly what the page shows.
+//! drift, shard, fleet and event JSON is also embedded verbatim in inert
+//! `<script type="application/json">` blocks so downstream tooling (and
+//! the `trace_check` CI gate) can re-parse exactly what the page shows.
 //!
 //! Styling follows the repo's chart conventions: categorical series
 //! colors in fixed slot order (blue, orange, aqua — the three slots that
@@ -24,12 +23,10 @@ use crate::event::{EventRecord, Level};
 use crate::export::{aggregate, fmt_ns, HardwareContext};
 use crate::flight::DumpInfo;
 use crate::health::{DriftTimeline, HealthReport, Severity};
-use crate::json::{self, Value};
 use crate::metrics::MetricsSnapshot;
 use crate::run::RunContext;
 use crate::shard::{FleetSummary, ShardCoverage};
 use crate::span::SpanEvent;
-use crate::tsdb::SeriesSnapshot;
 use std::fmt::Write as _;
 
 /// Everything one dashboard page is built from. All fields are borrowed:
@@ -60,11 +57,6 @@ pub struct DashboardData<'a> {
     pub shard: Option<&'a ShardCoverage>,
     /// Fleet telemetry view, when the merged packets carried telemetry.
     pub fleet: Option<&'a FleetSummary>,
-    /// Time-series snapshots from [`crate::tsdb`] (timeline section).
-    pub timeseries: &'a [SeriesSnapshot],
-    /// Rendered alert-engine JSON from [`crate::alert::render_json`],
-    /// when rules are installed.
-    pub alerts_json: Option<&'a str>,
     /// Auto-refresh cadence in seconds. Only the live server sets this;
     /// static exports stay static.
     pub refresh_s: Option<u32>,
@@ -240,160 +232,9 @@ fn svg_line_chart(
     svg
 }
 
-/// Renders one series as a compact axis-free sparkline. Returns an
-/// empty string when fewer than two finite points exist (a lone sample
-/// has no shape to draw; the table cell shows its value instead).
-fn svg_sparkline(points: &[(u64, f64)], label: &str) -> String {
-    const W: f64 = 220.0;
-    const H: f64 = 34.0;
-    const M: f64 = 3.0;
-    let finite: Vec<(f64, f64)> = points
-        .iter()
-        .map(|&(t, v)| (t as f64, v))
-        .filter(|(_, v)| v.is_finite())
-        .collect();
-    if finite.len() < 2 {
-        return String::new();
-    }
-    let (mut x_min, mut x_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut y_min, mut y_max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &(x, y) in &finite {
-        x_min = x_min.min(x);
-        x_max = x_max.max(x);
-        y_min = y_min.min(y);
-        y_max = y_max.max(y);
-    }
-    if x_max <= x_min {
-        x_max = x_min + 1.0;
-    }
-    if y_max <= y_min {
-        y_max = y_min + 1.0;
-    }
-    let px = |x: f64| M + (x - x_min) / (x_max - x_min) * (W - 2.0 * M);
-    let py = |y: f64| H - M - (y - y_min) / (y_max - y_min) * (H - 2.0 * M);
-    let path: Vec<String> = finite
-        .iter()
-        .map(|&(x, y)| format!("{:.1},{:.1}", px(x), py(y)))
-        .collect();
-    let (lx, ly) = *finite.last().expect("len >= 2");
-    format!(
-        "<svg class=\"spark\" viewBox=\"0 0 {W} {H}\" role=\"img\" aria-label=\"{}\">\
-         <polyline class=\"line\" style=\"stroke:var(--series-1)\" points=\"{}\"/>\
-         <circle class=\"mark\" style=\"fill:var(--series-1)\" cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.5\"/>\
-         </svg>",
-        html_escape(label),
-        path.join(" "),
-        px(lx),
-        py(ly),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Sections
 // ---------------------------------------------------------------------------
-
-/// How many series the timeline section draws (the embedded JSON blob
-/// always carries all of them).
-const TIMELINE_MAX_ROWS: usize = 24;
-
-fn timeline_section(data: &DashboardData) -> String {
-    let mut out = String::from("<section id=\"timeline\"><h2>Timeline</h2>");
-    if data.timeseries.is_empty() {
-        out.push_str(
-            "<p class=\"muted\">No time-series samples \
-             (run with <code>--obs-listen</code> or <code>--sample-interval-ms</code>).</p>",
-        );
-    } else {
-        let shown = data.timeseries.len().min(TIMELINE_MAX_ROWS);
-        if data.timeseries.len() > shown {
-            let _ = write!(
-                out,
-                "<p class=\"muted\">First {shown} of {} series; \
-                 the full set is in the embedded JSON.</p>",
-                data.timeseries.len()
-            );
-        }
-        out.push_str(
-            "<table><thead><tr><th>series</th><th class=\"num\">samples</th>\
-             <th class=\"num\">last</th><th>trend</th></tr></thead><tbody>",
-        );
-        for s in &data.timeseries[..shown] {
-            let last = s.points.last().map_or(f64::NAN, |&(_, v)| v);
-            let _ = write!(
-                out,
-                "<tr><td>{}</td><td class=\"num\">{}{}</td><td class=\"num\">{}</td>\
-                 <td>{}</td></tr>",
-                html_escape(&s.name),
-                s.points.len(),
-                if s.downsample > 1 {
-                    format!(" (\u{00f7}{})", s.downsample)
-                } else {
-                    String::new()
-                },
-                fmt_sig(last),
-                svg_sparkline(&s.points, &s.name),
-            );
-        }
-        out.push_str("</tbody></table>");
-    }
-    out.push_str("<h3>Alerts</h3>");
-    let parsed = data.alerts_json.and_then(|s| json::parse(s).ok());
-    let rules: Vec<Value> = parsed
-        .as_ref()
-        .and_then(|v| v.get("rules"))
-        .and_then(Value::as_array)
-        .map(<[Value]>::to_vec)
-        .unwrap_or_default();
-    if rules.is_empty() {
-        out.push_str(
-            "<p class=\"muted\">No alert rules installed \
-             (run with <code>--alerts rules.json</code>).</p>",
-        );
-    } else {
-        out.push_str(
-            "<table><thead><tr><th>rule</th><th>kind</th><th>series</th>\
-             <th>severity</th><th>state</th><th class=\"num\">value</th>\
-             <th class=\"num\">fired</th><th class=\"num\">resolved</th></tr></thead><tbody>",
-        );
-        for r in &rules {
-            let get = |k: &str| r.get(k).and_then(Value::as_str).unwrap_or("?").to_string();
-            let state = get("state");
-            let state_badge = match state.as_str() {
-                "firing" => "<span class=\"badge status-critical\">\
-                     <span class=\"icon\">\u{2716}</span> firing</span>"
-                    .to_string(),
-                "pending" => "<span class=\"badge status-warning\">\
-                     <span class=\"icon\">\u{26a0}</span> pending</span>"
-                    .to_string(),
-                _ => format!(
-                    "<span class=\"badge status-good\">\
-                     <span class=\"icon\">\u{2713}</span> {}</span>",
-                    html_escape(&state)
-                ),
-            };
-            let _ = write!(
-                out,
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
-                html_escape(&get("name")),
-                html_escape(&get("kind")),
-                html_escape(&get("series")),
-                html_escape(&get("severity")),
-                state_badge,
-                r.get("last_value")
-                    .and_then(Value::as_f64)
-                    .map_or_else(|| "\u{2014}".to_string(), fmt_sig),
-                r.get("fired_count").and_then(Value::as_f64).unwrap_or(0.0),
-                r.get("resolved_count")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0),
-            );
-        }
-        out.push_str("</tbody></table>");
-    }
-    out.push_str("</section>");
-    out
-}
 
 fn profile_section(data: &DashboardData) -> String {
     let rows = aggregate(data.events);
@@ -785,7 +626,6 @@ th.num,td.num{text-align:right;font-variant-numeric:tabular-nums}\
 .status-good{color:var(--status-good)}.status-warning{color:var(--status-warning)}\
 .status-serious{color:var(--status-serious)}.status-critical{color:var(--status-critical)}\
 svg{display:block;width:100%;height:auto;margin-top:0.5rem}\
-svg.spark{width:220px;height:34px;margin:0}\
 svg .grid{stroke:var(--grid);stroke-width:1}\
 svg .axis{stroke:var(--baseline);stroke-width:1}\
 svg .threshold{stroke:var(--status-warning);stroke-width:1;stroke-dasharray:4 3}\
@@ -820,15 +660,13 @@ pub fn render(data: &DashboardData) -> String {
     }
     out.push_str(
         "<nav><a href=\"#health\">Health</a><a href=\"#shard\">Shards</a>\
-         <a href=\"#fleet\">Fleet</a><a href=\"#timeline\">Timeline</a>\
-         <a href=\"#drift\">Drift</a>\
+         <a href=\"#fleet\">Fleet</a><a href=\"#drift\">Drift</a>\
          <a href=\"#events\">Events</a><a href=\"#profile\">Profile</a>\
          <a href=\"#metrics\">Metrics</a></nav></header>",
     );
     out.push_str(&health_section(data));
     out.push_str(&shard_section(data));
     out.push_str(&fleet_section(data));
-    out.push_str(&timeline_section(data));
     out.push_str(&drift_section(data));
     out.push_str(&events_section(data));
     out.push_str(&profile_section(data));
@@ -866,38 +704,6 @@ pub fn render(data: &DashboardData) -> String {
         "<script type=\"application/json\" id=\"fleet-data\">{}</script>",
         embed_json(&fleet_json)
     );
-    // Timeline blob: every series (not just the drawn rows) plus the
-    // alert engine state, so `trace_check` and offline tooling see the
-    // same data the live `/timeseries` and `/alerts` endpoints serve.
-    let mut timeline_json = String::from("{\"series\":[");
-    for (i, s) in data.timeseries.iter().enumerate() {
-        if i > 0 {
-            timeline_json.push(',');
-        }
-        let _ = write!(
-            timeline_json,
-            "{{\"name\":{},\"downsample\":{},\"points\":[",
-            json::string(&s.name),
-            s.downsample
-        );
-        for (j, (t, v)) in s.points.iter().enumerate() {
-            if j > 0 {
-                timeline_json.push(',');
-            }
-            let _ = write!(timeline_json, "[{t},{}]", json::number(*v));
-        }
-        timeline_json.push_str("]}");
-    }
-    let _ = write!(
-        timeline_json,
-        "],\"alerts\":{}}}",
-        data.alerts_json.unwrap_or("null")
-    );
-    let _ = write!(
-        out,
-        "<script type=\"application/json\" id=\"timeline-data\">{}</script>",
-        embed_json(&timeline_json)
-    );
     // The same event tail the table shows, as a machine-readable array.
     let run_id = data.run.map(|r| r.run_id.as_str());
     let events_json = format!(
@@ -925,6 +731,7 @@ mod tests {
         classify_shrinkage, classify_spectrum, CovarianceSpectrum, CvSurface, DataQualityHealth,
         DriftWindow, EffectiveSampleSize, PriorDataConflict,
     };
+    use crate::json::{self, Value};
     use crate::metrics::{HistogramStats, HISTOGRAM_BUCKETS};
 
     fn hw() -> HardwareContext {
@@ -1086,19 +893,6 @@ mod tests {
                 },
             ],
         );
-        let timeseries = vec![
-            SeriesSnapshot {
-                name: "monte_carlo.sims".to_string(),
-                downsample: 2,
-                points: vec![(0, 10.0), (250, 20.0), (500, 35.0)],
-            },
-            SeriesSnapshot {
-                name: "process.rss_bytes".to_string(),
-                downsample: 1,
-                points: vec![(500, 1.5e6)],
-            },
-        ];
-        let alerts_json = r#"{"rules":[{"name":"retry-burst","kind":"threshold","series":"monte_carlo.retries","severity":"warn","state":"firing","op":">=","for_ms":0,"since_ms":250,"last_value":9,"fired_count":1,"resolved_count":0,"suppressed":0}],"firing":1,"critical_firing":false}"#;
         let page = render(&DashboardData {
             title: "fig4 <smoke>",
             hardware: &hw(),
@@ -1112,8 +906,6 @@ mod tests {
             drift: Some(&drift),
             shard: Some(&shard),
             fleet: Some(&fleet),
-            timeseries: &timeseries,
-            alerts_json: Some(alerts_json),
             refresh_s: Some(2),
         });
         assert!(page.starts_with("<!DOCTYPE html>"));
@@ -1125,28 +917,19 @@ mod tests {
             "id=\"health\"",
             "id=\"shard\"",
             "id=\"fleet\"",
-            "id=\"timeline\"",
             "id=\"drift\"",
             "id=\"events\"",
             "id=\"health-data\"",
             "id=\"drift-data\"",
             "id=\"shard-data\"",
             "id=\"fleet-data\"",
-            "id=\"timeline-data\"",
             "id=\"events-data\"",
         ] {
             assert!(page.contains(id), "missing {id}");
         }
         // Every nav href has a matching section id.
         for target in [
-            "#health",
-            "#shard",
-            "#fleet",
-            "#timeline",
-            "#drift",
-            "#events",
-            "#profile",
-            "#metrics",
+            "#health", "#shard", "#fleet", "#drift", "#events", "#profile", "#metrics",
         ] {
             assert!(page.contains(&format!("href=\"{target}\"")));
         }
@@ -1214,34 +997,6 @@ mod tests {
                 .map(<[Value]>::len),
             Some(1)
         );
-        // Timeline section: sparkline drawn for the multi-point series,
-        // alert row rendered with its firing badge.
-        assert!(page.contains("class=\"spark\""));
-        assert!(page.contains("retry-burst"));
-        assert!(page.contains("firing"));
-        // Timeline blob re-parses and carries every series plus the
-        // alert engine state verbatim.
-        let timeline_v = json::parse(&extract("timeline-data")).expect("timeline blob parses");
-        let series = timeline_v.get("series").and_then(Value::as_array).unwrap();
-        assert_eq!(series.len(), 2);
-        assert_eq!(
-            series[0].get("name").and_then(Value::as_str),
-            Some("monte_carlo.sims")
-        );
-        assert_eq!(
-            series[0]
-                .get("points")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(3)
-        );
-        assert_eq!(
-            timeline_v
-                .get("alerts")
-                .and_then(|a| a.get("firing"))
-                .and_then(Value::as_f64),
-            Some(1.0)
-        );
     }
 
     #[test]
@@ -1264,20 +1019,16 @@ mod tests {
             drift: None,
             shard: None,
             fleet: None,
-            timeseries: &[],
-            alerts_json: None,
             refresh_s: None,
         });
         for id in [
             "id=\"health\"",
             "id=\"shard\"",
             "id=\"fleet\"",
-            "id=\"timeline\"",
             "id=\"drift\"",
             "id=\"events\"",
             "id=\"health-data\"",
             "id=\"fleet-data\"",
-            "id=\"timeline-data\"",
             "id=\"events-data\"",
         ] {
             assert!(page.contains(id), "missing {id}");
@@ -1285,8 +1036,6 @@ mod tests {
         assert!(page.contains("No health report"));
         assert!(page.contains("Not a sharded merge"));
         assert!(page.contains("No per-shard telemetry"));
-        assert!(page.contains("No time-series samples"));
-        assert!(page.contains("No alert rules installed"));
         assert!(page.contains("No structured events"));
         assert!(page.contains("No dump written"));
         assert!(!page.contains("http-equiv=\"refresh\""));

@@ -103,7 +103,7 @@ impl Value {
 
 /// Maximum container nesting the parser accepts. The recursive-descent
 /// [`parse`]r uses one stack frame per open object/array, so an
-/// adversarial input (a shard packet or alert-rules file of nothing but
+/// adversarial input (a shard packet of nothing but
 /// `[[[[…`) could otherwise overflow the thread stack; 128 levels is far
 /// beyond any document this workspace emits.
 pub const MAX_DEPTH: usize = 128;

@@ -48,7 +48,11 @@
 //!   The math that fills these types lives in `bmf_core`.
 //! * **[`dashboard`]** — a zero-dependency, self-contained HTML
 //!   dashboard (inline CSS + SVG, no JavaScript) combining profile,
-//!   metrics, health, drift, shards and time series in one static page.
+//!   metrics, health, drift and shards in one static page.
+//! * **[`serve`]** — the live HTTP surface behind `--obs-listen`:
+//!   `/metrics` (Prometheus text), `/health`, `/events`, `/progress`,
+//!   `/flight` and the dashboard. It is the one live telemetry surface;
+//!   history and alerting belong to whatever scrapes `/metrics`.
 //! * **[`cli`]** — `--trace-out/--profile/--metrics-out/--dashboard-out`
 //!   flag handling shared by `bmf` and the figure binaries.
 //!
@@ -85,7 +89,6 @@
 //! bmf_obs::reset();
 //! ```
 
-pub mod alert;
 pub mod cli;
 pub mod dashboard;
 pub mod event;
@@ -100,7 +103,6 @@ pub mod run;
 pub mod serve;
 pub mod shard;
 pub mod span;
-pub mod tsdb;
 
 pub use cli::ObsOptions;
 pub use event::{EventRecord, Heartbeat, Level, ProgressEntry, RateLimiter};
@@ -143,12 +145,11 @@ pub fn is_enabled() -> bool {
 
 /// Disables recording and clears all recorded events and metric values:
 /// spans, structured events, the flight-recorder ring, the run context,
-/// the time-series store, the alert engine and the event level filters.
+/// and the event level filters.
 /// Intended for tests and for delimiting independent measurement
 /// windows.
 pub fn reset() {
     disable();
-    tsdb::stop_global();
     span::clear();
     event::clear();
     event::reset_levels();
@@ -156,8 +157,6 @@ pub fn reset() {
     run::clear();
     metrics::reset_all();
     serve::clear_live();
-    tsdb::clear();
-    alert::clear();
 }
 
 #[cfg(test)]

@@ -16,10 +16,11 @@
 //!   from live state
 //! * `GET /flight` — the current flight-recorder ring, so a hung run
 //!   can be black-boxed without killing it
-//! * `GET /timeseries?metric=&since=&step=` — the [`crate::tsdb`] ring
-//!   store as JSON, so a scraper can see a regression *developing*
-//! * `GET /alerts` — current [`crate::alert`] rule states; a firing
-//!   critical rule also flips `/health` to `503`
+//!
+//! There is no in-process history or alert engine: a Prometheus-style
+//! scraper of `/metrics` keeps the time series and evaluates alert
+//! rules outside the process, and `/health` is the one status a probe
+//! needs.
 //!
 //! **The server never perturbs results.** Handler threads only *read*
 //! the existing lock-free registries through the non-draining peeks
@@ -140,17 +141,6 @@ pub(crate) fn clear_live() {
     }
 }
 
-/// Current live (health, drift) severities, for the alert engine's
-/// health/drift rules. `None` until the estimator publishes a report.
-pub(crate) fn live_severities() -> (Option<Severity>, Option<Severity>) {
-    with_live(|l| {
-        (
-            l.health.as_ref().map(HealthReport::overall),
-            l.drift.as_ref().map(DriftTimeline::overall),
-        )
-    })
-}
-
 /// One rendered HTTP response.
 struct Response {
     status: u16,
@@ -198,8 +188,6 @@ fn respond(target: &str) -> Response {
         "/health" => render_health(),
         "/events" => render_events(query),
         "/progress" => render_progress(),
-        "/timeseries" => render_timeseries(query),
-        "/alerts" => Response::new(200, "application/json", crate::alert::render_json()),
         "/" | "/index.html" => render_dashboard(),
         "/flight" => Response::new(
             200,
@@ -238,61 +226,17 @@ fn render_health() -> Response {
         });
         (health, drift, worst)
     });
-    // A firing critical alert makes the process unhealthy too — the
-    // rule engine's escalation has the same weight as the estimator's
-    // own health grade.
-    let critical_alerts = crate::alert::any_critical_firing();
     let body = format!(
-        "{{\"health\":{},\"drift\":{},\"critical_alerts\":{critical_alerts}}}",
+        "{{\"health\":{},\"drift\":{}}}",
         health_json.unwrap_or_else(|| "null".to_string()),
         drift_json.unwrap_or_else(|| "null".to_string()),
     );
-    let status = if worst == Severity::Critical || critical_alerts {
+    let status = if worst == Severity::Critical {
         503
     } else {
         200
     };
     Response::new(status, "application/json", body)
-}
-
-/// `GET /timeseries?metric=&since=&step=`: the tsdb ring store as JSON.
-/// `metric` filters to series equal to or prefixed by the value;
-/// `since` (ms since the trace epoch) and `step` (minimum ms between
-/// returned points) must be unsigned integers.
-fn render_timeseries(query: &str) -> Response {
-    let mut metric: Option<String> = None;
-    let mut since_ms: Option<u64> = None;
-    let mut step_ms: Option<u64> = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "metric" => metric = Some(value.to_string()),
-            "since" => match value.parse::<u64>() {
-                Ok(ms) => since_ms = Some(ms),
-                Err(_) => {
-                    return Response::text(
-                        400,
-                        format!("since must be milliseconds, got {value:?}\n"),
-                    );
-                }
-            },
-            "step" => match value.parse::<u64>() {
-                Ok(ms) => step_ms = Some(ms),
-                Err(_) => {
-                    return Response::text(
-                        400,
-                        format!("step must be milliseconds, got {value:?}\n"),
-                    );
-                }
-            },
-            _ => return Response::text(400, format!("unknown query key {key:?}\n")),
-        }
-    }
-    Response::new(
-        200,
-        "application/json",
-        crate::tsdb::render_json(metric.as_deref(), since_ms, step_ms),
-    )
 }
 
 fn render_events(query: &str) -> Response {
@@ -350,8 +294,6 @@ fn render_dashboard() -> Response {
     let run = crate::run::current();
     let hardware = live_hardware();
     let flight_dump = crate::flight::last_dump();
-    let timeseries = crate::tsdb::snapshot();
-    let alerts_json = crate::alert::installed().then(crate::alert::render_json);
     let body = with_live(|l| {
         crate::dashboard::render(&crate::dashboard::DashboardData {
             title: if l.title.is_empty() {
@@ -370,10 +312,8 @@ fn render_dashboard() -> Response {
             drift: l.drift.as_ref(),
             shard: l.shard.as_ref(),
             fleet: l.fleet.as_ref(),
-            timeseries: &timeseries,
-            alerts_json: alerts_json.as_deref(),
-            // The live page re-fetches itself so sparklines move while
-            // the run is in flight; static exports never set this.
+            // The live page re-fetches itself so it follows the run
+            // while it is in flight; static exports never set this.
             refresh_s: Some(2),
         })
     });
@@ -620,15 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn serves_all_eight_endpoints() {
+    fn serves_all_six_endpoints() {
         let _g = test_lock();
         crate::reset();
         crate::enable();
         crate::run::set(crate::run::RunContext::derive(7, "serve test"));
         set_live_context("serve test", 2);
         crate::event!(Info, "serve.test", "i": 1u64);
-        crate::tsdb::record("serve.series", 100, 1.0);
-        crate::tsdb::record("serve.series", 200, 2.0);
         {
             let hb = crate::event::Heartbeat::new("serve.loop", 3);
             for _ in 0..3 {
@@ -685,36 +623,11 @@ mod tests {
             Some("live")
         );
 
-        let (status, ctype, body) = http_get(addr, "/timeseries?metric=serve.series");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let v = crate::json::parse(&body).expect("timeseries JSON parses");
-        let series = v
-            .get("series")
-            .and_then(crate::json::Value::as_array)
-            .unwrap();
-        assert_eq!(series.len(), 1);
-        assert_eq!(
-            series[0].get("name").and_then(crate::json::Value::as_str),
-            Some("serve.series")
-        );
-
-        let (status, ctype, body) = http_get(addr, "/alerts");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let v = crate::json::parse(&body).expect("alerts JSON parses");
-        assert!(v
-            .get("rules")
-            .and_then(crate::json::Value::as_array)
-            .is_some());
-        assert_eq!(
-            v.get("critical_firing")
-                .and_then(crate::json::Value::as_bool),
-            Some(false)
-        );
-
-        let (status, _, _) = http_get(addr, "/nope");
-        assert_eq!(status, 404);
+        // History and alerting live in the scraper, not here.
+        for gone in ["/nope", "/timeseries", "/alerts"] {
+            let (status, _, _) = http_get(addr, gone);
+            assert_eq!(status, 404, "{gone}");
+        }
 
         // The scrapes must not have drained anything.
         assert!(!crate::event::peek_records().is_empty());
@@ -815,53 +728,6 @@ mod tests {
         assert_eq!(render_events("n=many").status, 400);
         assert_eq!(render_events("what=ever").status, 400);
         assert_eq!(render_events("level=warn&n=5").status, 200);
-        crate::reset();
-    }
-
-    #[test]
-    fn timeseries_endpoint_validates_query() {
-        let _g = test_lock();
-        crate::reset();
-        assert_eq!(render_timeseries("since=soon").status, 400);
-        assert_eq!(render_timeseries("step=big").status, 400);
-        assert_eq!(render_timeseries("what=ever").status, 400);
-        assert_eq!(render_timeseries("metric=x&since=5&step=10").status, 200);
-        assert_eq!(render_timeseries("").status, 200);
-        crate::reset();
-    }
-
-    #[test]
-    fn health_endpoint_returns_503_while_a_critical_alert_fires() {
-        let _g = test_lock();
-        crate::reset();
-        crate::enable();
-        crate::tsdb::record("m.x", 100, 50.0);
-        crate::alert::install(vec![crate::alert::Rule {
-            name: "hot".to_string(),
-            series: "m.x".to_string(),
-            severity: crate::health::Severity::Critical,
-            for_ms: 0,
-            kind: crate::alert::RuleKind::Threshold {
-                op: crate::alert::Comparison::Ge,
-                value: 10.0,
-                clear: 10.0,
-            },
-        }]);
-        crate::alert::evaluate(100);
-        assert!(crate::alert::any_critical_firing());
-        let response = render_health();
-        assert_eq!(response.status, 503);
-        let v = crate::json::parse(&response.body).unwrap();
-        assert_eq!(
-            v.get("critical_alerts")
-                .and_then(crate::json::Value::as_bool),
-            Some(true)
-        );
-        // The alert clearing flips /health back to 200.
-        crate::tsdb::record("m.x", 200, 1.0);
-        crate::alert::evaluate(200);
-        assert!(!crate::alert::any_critical_firing());
-        assert_eq!(render_health().status, 200);
         crate::reset();
     }
 }

@@ -196,25 +196,18 @@ fn print_usage() {
     println!("an aggregated per-span profile, --metrics-out <json> writes a counter/");
     println!("histogram snapshot, --dashboard-out <html> writes a self-contained");
     println!("HTML dashboard (profile, metrics, estimator health, shard coverage,");
-    println!("drift timeline, fleet telemetry and time series),");
+    println!("drift timeline and fleet telemetry),");
     println!("--events-out <jsonl> writes the structured event log (one JSON object");
     println!("per line: retries, repairs, ladder transitions, guard flags, shard");
     println!("merges/rejects), each stamped with the run id that also appears in the");
     println!("FusionReport and flight-recorder dumps. --obs-listen <addr> serves the");
     println!("run live over HTTP while it executes: GET /metrics (Prometheus text),");
     println!("/health (200/503 keyed on severity), /events?level=&n= (JSONL tail),");
-    println!("/progress (heartbeat fractions + ETA), /flight (flight-recorder ring),");
-    println!("/timeseries?metric=&since=&step= (sampled counter/gauge history),");
-    println!("/alerts (rule states), and / (the live dashboard, with sparkline");
-    println!("timelines); port 0 picks a free port, printed at start and written to");
-    println!("$BMF_OBS_ADDR_FILE when set. --sample-interval-ms <n> sets the");
-    println!("time-series sampler cadence (default 250; the sampler also starts");
-    println!("whenever --obs-listen or --alerts is given). --alerts <rules.json>");
-    println!("installs declarative SLO rules (threshold / rate-of-change / health /");
-    println!("drift-severity, with hysteresis and for-duration debouncing) evaluated");
-    println!("on every sampler tick; a firing rule emits alert.fired / alert.resolved");
-    println!("events and a critical one flips /health to 503 and arms a flight-");
-    println!("recorder dump. --log-level error|warn|info|debug");
+    println!("/progress (heartbeat fractions + ETA), /flight (flight-recorder ring)");
+    println!("and / (the live dashboard); port 0 picks a free port, printed at start");
+    println!("and written to $BMF_OBS_ADDR_FILE when set. History and alerting come");
+    println!("from whatever scrapes /metrics (e.g. Prometheus recording and alert");
+    println!("rules), not from the process. --log-level error|warn|info|debug");
     println!("(or the BMF_LOG env var) sets console verbosity. Recording never alters");
     println!("numeric results. All file outputs are written atomically (temp + rename):");
     println!("a crash mid-write never leaves a truncated artifact behind.");
@@ -256,9 +249,52 @@ fn print_usage() {
 /// Flags that take no value (presence is the whole message).
 const BOOL_FLAGS: &[&str] = &["strict", "degrade"];
 
+/// The flags each subcommand accepts (observability flags are stripped
+/// before subcommand parsing and are accepted everywhere).
+const ESTIMATE_FLAGS: &[&str] = &[
+    "early", "late", "out", "seed", "threads", "strict", "degrade", "report",
+];
+const GENERATE_FLAGS: &[&str] = &[
+    "circuit",
+    "stage",
+    "samples",
+    "seed",
+    "threads",
+    "out",
+    "fault-rate",
+    "retry-attempts",
+];
+const SHARD_FLAGS: &[&str] = &[
+    "circuit",
+    "n-early",
+    "n-late",
+    "index",
+    "shards",
+    "out",
+    "seed",
+    "threads",
+    "fault-rate",
+    "retry-attempts",
+];
+const MERGE_FLAGS: &[&str] = &[
+    "packet",
+    "out",
+    "min-shards",
+    "strict",
+    "degrade",
+    "report",
+    "kappa0",
+    "nu0",
+    "threads",
+    "fleet-trace-out",
+];
+const YIELD_FLAGS: &[&str] = &["moments", "spec", "draws", "seed"];
+const DIAGNOSE_FLAGS: &[&str] = &["samples"];
+
 /// Parses `--key value` pairs; repeated keys accumulate. Flags listed in
-/// [`BOOL_FLAGS`] are valueless switches.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, Vec<String>>, String> {
+/// [`BOOL_FLAGS`] are valueless switches. A flag missing from `accepted`
+/// (a typo, or one this subcommand does not take) is an error naming it.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, Vec<String>>, String> {
     let mut map: HashMap<String, Vec<String>> = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -267,6 +303,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, Vec<String>>, String> 
             return Err(format!("expected a --flag, got '{key}'"));
         }
         let name = key[2..].to_string();
+        if !accepted.contains(&name.as_str()) {
+            return Err(format!("unknown flag {key}"));
+        }
         if BOOL_FLAGS.contains(&name.as_str()) {
             map.entry(name).or_default().push("true".to_string());
             i += 1;
@@ -380,7 +419,7 @@ fn emit_report(report_path: Option<&str>, report: &FusionReport) -> Result<(), C
 }
 
 fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
+    let flags = parse_flags(args, ESTIMATE_FLAGS).map_err(cfg)?;
     let early_path = single(&flags, "early")?;
     let late_path = single(&flags, "late")?;
     let seed: u64 = parse_optional(&flags, "seed", "2015")?;
@@ -479,7 +518,7 @@ fn cmd_estimate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResul
 }
 
 fn cmd_generate(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
+    let flags = parse_flags(args, GENERATE_FLAGS).map_err(cfg)?;
     let circuit = single(&flags, "circuit")?;
     let stage = match single(&flags, "stage")? {
         "schematic" => Stage::Schematic,
@@ -613,7 +652,7 @@ fn study_config_from_flags(
 }
 
 fn cmd_shard(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
+    let flags = parse_flags(args, SHARD_FLAGS).map_err(cfg)?;
     let (config, index) = study_config_from_flags(&flags)?;
     let out = single(&flags, "out")?;
     let threads = threads_flag(&flags)?;
@@ -717,7 +756,7 @@ fn normalized_study(
 }
 
 fn cmd_merge(args: &[String], obs: &mut bmf_ams::obs::ObsOptions) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
+    let flags = parse_flags(args, MERGE_FLAGS).map_err(cfg)?;
     let packet_paths = flags
         .get("packet")
         .cloned()
@@ -869,7 +908,7 @@ fn cmd_diagnose(args: &[String]) -> CliResult {
     use bmf_ams::core::diagnostics::mardia_test;
     use bmf_ams::stats::pca::Pca;
 
-    let flags = parse_flags(args).map_err(cfg)?;
+    let flags = parse_flags(args, DIAGNOSE_FLAGS).map_err(cfg)?;
     let path = single(&flags, "samples")?;
     let data = read_samples_csv(&mut File::open(path).map_err(rt)?).map_err(rt)?;
     let (n, d) = data.samples.shape();
@@ -927,7 +966,7 @@ fn cmd_diagnose(args: &[String]) -> CliResult {
 }
 
 fn cmd_yield(args: &[String]) -> CliResult {
-    let flags = parse_flags(args).map_err(cfg)?;
+    let flags = parse_flags(args, YIELD_FLAGS).map_err(cfg)?;
     let moments_path = single(&flags, "moments")?;
     let draws: usize = parse_optional(&flags, "draws", "100000")?;
     let seed: u64 = parse_optional(&flags, "seed", "7")?;

@@ -173,8 +173,6 @@ fn estimates_bit_identical_with_health_drift_and_dashboard_active() {
                     shard: None,
                     fleet: None,
                     drift: Some(&timeline),
-                    timeseries: &[],
-                    alerts_json: None,
                     refresh_s: None,
                 });
                 assert!(html.to_ascii_lowercase().starts_with("<!doctype html"));
@@ -263,8 +261,6 @@ fn dashboard_document_contains_every_section_and_blob() {
         shard: None,
         fleet: None,
         drift: Some(&timeline),
-        timeseries: &[],
-        alerts_json: None,
         refresh_s: None,
     });
     for id in [

@@ -479,6 +479,32 @@ fn cli_quorum_and_degraded_exit_codes() {
         .output()
         .unwrap();
     assert_eq!(exit_code(&out), 2);
+    // Unknown, retired and misspelt flags are usage errors naming the
+    // flag, never silently ignored.
+    let generate = [
+        "generate",
+        "--circuit",
+        "adc",
+        "--stage",
+        "schematic",
+        "--samples",
+        "4",
+    ];
+    let estimate = ["estimate", "--early", "e.csv", "--late", "l.csv"];
+    for (base, extra) in [
+        (&generate[..], &["--bogus", "1"][..]),
+        (&generate[..], &["--alerts", "r.json"][..]),
+        (&generate[..], &["--sample-interval-ms", "5"][..]),
+        (&estimate[..], &["--strct"][..]),
+    ] {
+        let out = bmf().args(base).args(extra).output().unwrap();
+        assert_eq!(exit_code(&out), 2, "{extra:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {}", extra[0])),
+            "{extra:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
