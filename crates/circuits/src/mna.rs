@@ -17,6 +17,7 @@
 use crate::netlist::{Element, Netlist, GROUND};
 use crate::{CircuitError, Result};
 use bmf_linalg::{CLu, CMatrix, CVector, Complex64};
+use std::cell::RefCell;
 
 /// Solution of one AC operating point: node-voltage phasors (plus branch
 /// currents of voltage sources, kept internal).
@@ -55,6 +56,11 @@ impl AcSolution {
 
 /// AC analysis engine bound to a [`Netlist`].
 ///
+/// The engine keeps one set of buffers (MNA matrix, right-hand side, LU
+/// factors, solution) and reuses it at every frequency, so a sweep of
+/// [`AcAnalysis::transfer`] calls allocates nothing after construction.
+/// The buffers make it `Send` but not `Sync`: give each thread its own.
+///
 /// # Example
 ///
 /// ```
@@ -80,13 +86,34 @@ pub struct AcAnalysis<'a> {
     netlist: &'a Netlist,
     /// Unknown count: (nodes − 1) + voltage sources.
     dim: usize,
+    work: RefCell<AcWork>,
+}
+
+/// Buffers one AC solve writes into.
+#[derive(Debug, Clone)]
+struct AcWork {
+    a: CMatrix,
+    rhs: CVector,
+    lu: CLu,
+    /// Unknowns: node voltages (ground eliminated), then branch currents.
+    x: CVector,
 }
 
 impl<'a> AcAnalysis<'a> {
     /// Creates an analysis for the given netlist.
     pub fn new(netlist: &'a Netlist) -> Self {
         let dim = netlist.node_count() - 1 + netlist.voltage_source_count();
-        AcAnalysis { netlist, dim }
+        let work = AcWork {
+            a: CMatrix::zeros(dim, dim),
+            rhs: CVector::zeros(dim),
+            lu: CLu::default(),
+            x: CVector::default(),
+        };
+        AcAnalysis {
+            netlist,
+            dim,
+            work: RefCell::new(work),
+        }
     }
 
     /// Size of the assembled MNA system.
@@ -105,11 +132,11 @@ impl<'a> AcAnalysis<'a> {
     }
 
     /// Assembles the MNA matrix and right-hand side at angular frequency
-    /// `omega`.
-    fn assemble(&self, omega: f64) -> (CMatrix, CVector) {
+    /// `omega` into `a` and `rhs` (both `dim`-sized).
+    fn assemble(&self, omega: f64, a: &mut CMatrix, rhs: &mut CVector) {
         let nv = self.netlist.node_count() - 1;
-        let mut a = CMatrix::zeros(self.dim, self.dim);
-        let mut rhs = CVector::zeros(self.dim);
+        a.fill(Complex64::ZERO);
+        rhs.fill(Complex64::ZERO);
         let mut vsrc_row = nv;
 
         let stamp_admittance = |a: &mut CMatrix, n1: usize, n2: usize, y: Complex64| match (
@@ -131,14 +158,14 @@ impl<'a> AcAnalysis<'a> {
         for e in self.netlist.elements() {
             match *e {
                 Element::Resistor { a: n1, b: n2, ohms } => {
-                    stamp_admittance(&mut a, n1, n2, Complex64::from_re(1.0 / ohms));
+                    stamp_admittance(a, n1, n2, Complex64::from_re(1.0 / ohms));
                 }
                 Element::Capacitor {
                     a: n1,
                     b: n2,
                     farads,
                 } => {
-                    stamp_admittance(&mut a, n1, n2, Complex64::new(0.0, omega * farads));
+                    stamp_admittance(a, n1, n2, Complex64::new(0.0, omega * farads));
                 }
                 Element::Inductor {
                     a: n1,
@@ -153,7 +180,7 @@ impl<'a> AcAnalysis<'a> {
                     } else {
                         Complex64::from_re(1e12)
                     };
-                    stamp_admittance(&mut a, n1, n2, y);
+                    stamp_admittance(a, n1, n2, y);
                 }
                 Element::Vccs {
                     a: n1,
@@ -200,7 +227,17 @@ impl<'a> AcAnalysis<'a> {
                 }
             }
         }
-        (a, rhs)
+    }
+
+    /// Assembles and solves the system at `omega`, leaving the unknowns in
+    /// `work.x`. Every AC solve goes through here and counts once in
+    /// `mna.solves`.
+    fn solve_into(&self, omega: f64, work: &mut AcWork) -> Result<()> {
+        bmf_obs::counters::MNA_SOLVES.incr();
+        self.assemble(omega, &mut work.a, &mut work.rhs);
+        let singular = |_| CircuitError::SingularSystem { omega };
+        work.lu.refactor(&work.a).map_err(singular)?;
+        work.lu.solve_into(&work.rhs, &mut work.x).map_err(singular)
     }
 
     /// Solves the circuit at angular frequency `omega` (rad/s).
@@ -210,34 +247,34 @@ impl<'a> AcAnalysis<'a> {
     /// Returns [`CircuitError::SingularSystem`] when the MNA matrix cannot
     /// be factorised (floating nodes, short-circuit loops of ideal sources).
     pub fn solve(&self, omega: f64) -> Result<AcSolution> {
-        let (a, rhs) = self.assemble(omega);
-        let lu = CLu::new(&a).map_err(|_| CircuitError::SingularSystem { omega })?;
-        let x = lu
-            .solve_vec(&rhs)
-            .map_err(|_| CircuitError::SingularSystem { omega })?;
-
-        let nv = self.netlist.node_count() - 1;
-        let mut node_voltages = vec![Complex64::ZERO; self.netlist.node_count()];
-        for n in 1..self.netlist.node_count() {
-            node_voltages[n] = x[n - 1];
-        }
-        let branch_currents = (0..self.netlist.voltage_source_count())
-            .map(|k| x[nv + k])
-            .collect();
+        let work = &mut *self.work.borrow_mut();
+        self.solve_into(omega, work)?;
+        let (nodes, branches) = work.x.as_slice().split_at(self.netlist.node_count() - 1);
         Ok(AcSolution {
-            node_voltages,
-            branch_currents,
+            node_voltages: std::iter::once(Complex64::ZERO)
+                .chain(nodes.iter().copied())
+                .collect(),
+            branch_currents: branches.to_vec(),
         })
     }
 
     /// Voltage transfer function from the (single) source to `out_node` at
-    /// `omega` — i.e. `v(out_node)` with unit drive.
+    /// `omega` — i.e. `v(out_node)` with unit drive. Solves into the
+    /// engine's reused buffers and reads out the one node.
     ///
     /// # Errors
     ///
     /// Propagates [`CircuitError::SingularSystem`] from the solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an out-of-range node index.
     pub fn transfer(&self, out_node: usize, omega: f64) -> Result<Complex64> {
-        Ok(self.solve(omega)?.voltage(out_node))
+        let nodes = self.netlist.node_count();
+        assert!(out_node < nodes, "node {out_node} out of range (< {nodes})");
+        let work = &mut *self.work.borrow_mut();
+        self.solve_into(omega, work)?;
+        Ok(Self::node_index(out_node).map_or(Complex64::ZERO, |i| work.x[i]))
     }
 
     /// Sweeps a log-spaced frequency grid, returning `(f_hz, v_out)` pairs.
@@ -419,6 +456,51 @@ mod tests {
         // Node 2: by symmetry v = 2/3 V.
         assert!((sol.voltage(2).re - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(ac.system_dim(), 3 + 2);
+    }
+
+    #[test]
+    fn transfer_reads_the_full_solution_node() {
+        // Transfer reuses one set of buffers across a sweep; every point
+        // must equal a fresh full solve, and a singular point in between
+        // must not poison the next one.
+        let mut nl = Netlist::new(4);
+        nl.voltage_source(1, 0, 1.0).unwrap();
+        nl.resistor(1, 2, 1e3).unwrap();
+        nl.capacitor(2, 0, 1e-9).unwrap();
+        nl.inductor(2, 3, 1e-3).unwrap();
+        nl.resistor(3, 0, 50.0).unwrap();
+        let ac = AcAnalysis::new(&nl);
+        for f in [0.0, 1e3, 1e5, 1e6, 1e8] {
+            for node in 0..4 {
+                let fresh = AcAnalysis::new(&nl).solve(TWO_PI * f).unwrap();
+                assert_eq!(ac.transfer(node, TWO_PI * f).unwrap(), fresh.voltage(node));
+            }
+        }
+        let mut floating = Netlist::new(3);
+        floating.voltage_source(1, 0, 1.0).unwrap();
+        floating.resistor(1, 0, 1e3).unwrap();
+        floating.capacitor(2, 0, 1e-9).unwrap();
+        let ac = AcAnalysis::new(&floating);
+        assert!(ac.transfer(2, 0.0).is_err());
+        let v = ac.transfer(2, TWO_PI * 1e3).unwrap();
+        assert_eq!(
+            v,
+            AcAnalysis::new(&floating)
+                .solve(TWO_PI * 1e3)
+                .unwrap()
+                .voltage(2)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn transfer_rejects_an_unknown_node() {
+        let mut nl = Netlist::new(3);
+        nl.voltage_source(1, 0, 1.0).unwrap();
+        nl.resistor(1, 2, 1e3).unwrap();
+        nl.resistor(2, 0, 1e3).unwrap();
+        // Index 3 would read the source's branch current.
+        let _ = AcAnalysis::new(&nl).transfer(3, 0.0);
     }
 
     #[test]

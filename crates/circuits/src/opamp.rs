@@ -21,6 +21,14 @@
 //! 5. computes power from the actual branch currents and the input offset
 //!    from the mismatch terms.
 //!
+//! AC solves are the dominant cost of a draw, so each measurement makes
+//! only the solves it needs (~94 per draw): the −3 dB and unity-gain
+//! frequencies are bracketed by a 60-point log scan and then found by
+//! Illinois regula falsi on `ln|H|` over `log10 f`, stopping at f64
+//! resolution; the phase margin unwraps `arg H` over a 24-step sweep whose
+//! only job is to pick the 2π branch (steps that turn by more than π/4 are
+//! subdivided).
+//!
 //! The **post-layout** stage adds extracted-style parasitics: wiring
 //! capacitance on the high-impedance nodes, extra Miller capacitance,
 //! series resistance (transconductance degradation), reduced output
@@ -35,6 +43,10 @@ use crate::{CircuitError, Result};
 use bmf_stats::sample_standard_normal;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::f64::consts::{PI, TAU};
+
+/// Output node of the small-signal netlist.
+const OUT_NODE: usize = 3;
 
 /// The five op-amp performance metrics of one simulated die.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -204,6 +216,14 @@ struct DieVariations {
     global_dvth: f64,
 }
 
+/// Internal: one die resolved to its small-signal netlist, plus the two
+/// metrics that need no AC analysis.
+struct BiasedDie {
+    netlist: Netlist,
+    power_w: f64,
+    offset_v: f64,
+}
+
 impl DieVariations {
     fn nominal() -> Self {
         DieVariations {
@@ -344,6 +364,20 @@ impl OpAmpTestbench {
 
     /// Simulates one die at the given stage and variation set.
     fn simulate(&self, stage: Stage, vars: &DieVariations) -> Result<OpAmpPerformance> {
+        let die = self.bias(stage, vars)?;
+        let (gain_db, bandwidth_hz, phase_margin_deg) = measure_ac(&die.netlist)?;
+        Ok(OpAmpPerformance {
+            gain_db,
+            bandwidth_hz,
+            power_w: die.power_w,
+            offset_v: die.offset_v,
+            phase_margin_deg,
+        })
+    }
+
+    /// Resolves one die's bias point into its small-signal netlist, power
+    /// and input offset.
+    fn bias(&self, stage: Stage, vars: &DieVariations) -> Result<BiasedDie> {
         let d = &self.design;
         let (gm_derate, ro_derate, c1_extra, cout_extra, cc_extra, power_over, offset_sys) =
             match stage {
@@ -411,39 +445,11 @@ impl OpAmpTestbench {
         nl.vccs(2, 0, 1, 0, gm1)?;
         nl.resistor(2, 0, r1)?;
         nl.capacitor(2, 0, c1)?;
-        nl.vccs(3, 0, 2, 0, gm6)?;
-        nl.resistor(3, 0, r2)?;
-        nl.capacitor(3, 0, c_out)?;
+        nl.vccs(OUT_NODE, 0, 2, 0, gm6)?;
+        nl.resistor(OUT_NODE, 0, r2)?;
+        nl.capacitor(OUT_NODE, 0, c_out)?;
         nl.capacitor(2, 4, cc)?;
-        nl.resistor(4, 3, d.rz)?;
-        let ac = AcAnalysis::new(&nl);
-
-        // --- Measurements ----------------------------------------------------
-        let dc = ac.transfer(3, 0.0)?;
-        let gain0 = dc.abs();
-        if !(gain0 > 1.0) {
-            return Err(CircuitError::MeasurementFailure {
-                metric: "dc gain",
-                reason: format!("|H(0)| = {gain0:.3e} <= 1"),
-            });
-        }
-        let gain_db = 20.0 * gain0.log10();
-
-        let bandwidth_hz =
-            find_crossing_freq(&ac, 3, gain0 / 2f64.sqrt(), 1.0, 1e11).ok_or_else(|| {
-                CircuitError::MeasurementFailure {
-                    metric: "-3dB bandwidth",
-                    reason: "no crossing in [1 Hz, 100 GHz]".to_string(),
-                }
-            })?;
-
-        let unity_hz = find_crossing_freq(&ac, 3, 1.0, bandwidth_hz, 1e12).ok_or_else(|| {
-            CircuitError::MeasurementFailure {
-                metric: "unity-gain frequency",
-                reason: "no crossing above the -3dB point".to_string(),
-            }
-        })?;
-        let phase_margin_deg = phase_margin(&ac, 3, unity_hz, bandwidth_hz)?;
+        nl.resistor(4, OUT_NODE, d.rz)?;
 
         let power_w = d.vdd * (d.iref + i_tail + i6) * power_over;
 
@@ -453,12 +459,10 @@ impl OpAmpTestbench {
             + (ss3.gm / gm1.max(1e-12)) * (vars.m3.delta_vth - vars.m4.delta_vth)
             + offset_sys;
 
-        Ok(OpAmpPerformance {
-            gain_db,
-            bandwidth_hz,
+        Ok(BiasedDie {
+            netlist: nl,
             power_w,
             offset_v,
-            phase_margin_deg,
         })
     }
 
@@ -488,24 +492,65 @@ impl OpAmpTestbench {
     }
 }
 
-/// Finds the frequency (Hz) where `|H|` first crosses `target` from above,
-/// searching `[f_lo, f_hi]` on a log grid followed by bisection. Returns
-/// `None` if no bracket is found.
-fn find_crossing_freq(
-    ac: &AcAnalysis<'_>,
-    out_node: usize,
-    target: f64,
-    f_lo: f64,
-    f_hi: f64,
-) -> Option<f64> {
-    const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
-    let mag = |f: f64| -> f64 {
-        ac.transfer(out_node, TWO_PI * f)
-            .map(|v| v.abs())
-            .unwrap_or(f64::NAN)
-    };
+/// Measures DC gain (dB), −3 dB bandwidth (Hz) and phase margin (°) of the
+/// small-signal netlist at [`OUT_NODE`].
+fn measure_ac(netlist: &Netlist) -> Result<(f64, f64, f64)> {
+    let ac = AcAnalysis::new(netlist);
+    let h = |f: f64| ac.transfer(OUT_NODE, TAU * f);
+    let mag = |f: f64| h(f).map(|v| v.abs()).unwrap_or(f64::NAN);
+
+    let dc = h(0.0)?;
+    let gain0 = dc.abs();
+    if !(gain0 > 1.0) {
+        return Err(CircuitError::MeasurementFailure {
+            metric: "dc gain",
+            reason: format!("|H(0)| = {gain0:.3e} <= 1"),
+        });
+    }
+    let gain_db = 20.0 * gain0.log10();
+
+    let bandwidth_hz =
+        find_crossing_freq(mag, gain0 / 2f64.sqrt(), 1.0, 1e11).ok_or_else(|| {
+            CircuitError::MeasurementFailure {
+                metric: "-3dB bandwidth",
+                reason: "no crossing in [1 Hz, 100 GHz]".to_string(),
+            }
+        })?;
+
+    let unity_hz = find_crossing_freq(mag, 1.0, bandwidth_hz, 1e12).ok_or_else(|| {
+        CircuitError::MeasurementFailure {
+            metric: "unity-gain frequency",
+            reason: "no crossing above the -3dB point".to_string(),
+        }
+    })?;
+    let phase_margin_deg = phase_margin(|f| Ok(h(f)?.arg()), dc.arg(), unity_hz, bandwidth_hz)?;
+    Ok((gain_db, bandwidth_hz, phase_margin_deg))
+}
+
+/// Points of the log scan that brackets a crossing.
+const SCAN_POINTS: usize = 60;
+
+/// Relative tolerance on `x = log10 f` at which the crossing search stops:
+/// a few ulps, i.e. f64 resolution.
+const X_REL_TOL: f64 = 4.0 * f64::EPSILON;
+
+/// Cap on root-finding steps; Illinois converges in far fewer.
+const MAX_SEARCH_STEPS: usize = 100;
+
+/// Finds the frequency (Hz) where `mag(f) = |H(f)|` first crosses `target`
+/// from above in `[f_lo, f_hi]`.
+///
+/// A 60-point log scan brackets the first crossing. Illinois regula falsi
+/// on `g(x) = ln|H(10^x)| − ln target` over `x = log10 f` then shrinks the
+/// bracket, keeping every step at least a few ulps inside it (Brent's
+/// minimum step), and stops once a step or the bracket is that small.
+/// `g` is near-linear in `x` on a Bode slope, so this takes a handful of
+/// solves where bisection to the same resolution takes ~50.
+///
+/// Returns `None` if no bracket is found or `|H|` is NaN anywhere on the
+/// way (a failed solve reads as NaN).
+fn find_crossing_freq(mag: impl Fn(f64) -> f64, target: f64, f_lo: f64, f_hi: f64) -> Option<f64> {
     // Coarse log scan to bracket the crossing.
-    let points = 60;
     let l0 = f_lo.log10();
     let l1 = f_hi.log10();
     let mut prev_f = f_lo;
@@ -514,67 +559,153 @@ fn find_crossing_freq(
         return None; // already below target at the low end
     }
     let mut bracket = None;
-    for k in 1..=points {
-        let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
+    for k in 1..=SCAN_POINTS {
+        let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / SCAN_POINTS as f64);
         let m = mag(f);
         if m.is_nan() {
             return None;
         }
         if m <= target {
-            bracket = Some((prev_f, f));
+            bracket = Some((prev_f, prev_m, f, m));
             break;
         }
         prev_f = f;
         prev_m = m;
     }
-    let _ = prev_m;
-    let (mut lo, mut hi) = bracket?;
-    // Log-domain bisection.
-    for _ in 0..60 {
-        let mid = (lo.log10() + hi.log10()) / 2.0;
-        let fm = 10f64.powf(mid);
-        if mag(fm) > target {
-            lo = fm;
+    let (f_a, m_a, f_b, m_b) = bracket?;
+
+    // Illinois regula falsi on g, with the bracket g(a) > 0 >= g(b) kept.
+    let ln_target = target.ln();
+    let (mut a, mut ga) = (f_a.log10(), m_a.ln() - ln_target);
+    let (mut b, mut gb) = (f_b.log10(), m_b.ln() - ln_target);
+    if gb == 0.0 {
+        return Some(f_b);
+    }
+    let mut x = b;
+    // Which end survived the previous step: `Some(true)` = a, `Some(false)` = b.
+    let mut kept_a = None;
+    for _ in 0..MAX_SEARCH_STEPS {
+        let tol = X_REL_TOL * a.abs().max(b.abs()).max(1.0);
+        if b - a <= 2.0 * tol {
+            break;
+        }
+        let mut next = b - gb * (b - a) / (gb - ga);
+        if next.is_nan() {
+            next = 0.5 * (a + b);
+        }
+        // At least `tol` inside the bracket: when one end already sits on
+        // the root, the next step then collapses the bracket onto it.
+        let next = next.clamp(a + tol, b - tol);
+        let step = (next - x).abs();
+        x = next;
+        let gx = mag(10f64.powf(x)).ln() - ln_target;
+        if gx.is_nan() {
+            return None;
+        }
+        if gx > 0.0 {
+            a = x;
+            ga = gx;
+            if kept_a == Some(false) {
+                gb *= 0.5; // b kept twice: pull the secant towards it
+            }
+            kept_a = Some(false);
         } else {
-            hi = fm;
+            b = x;
+            gb = gx;
+            if kept_a == Some(true) {
+                ga *= 0.5;
+            }
+            kept_a = Some(true);
+        }
+        if gx == 0.0 || step <= tol {
+            break;
         }
     }
-    Some((lo * hi).sqrt())
+    Some(10f64.powf(x))
 }
 
-/// Phase margin at the unity-gain frequency, with the phase unwrapped along
-/// a sweep from a decade below the −3 dB corner.
-fn phase_margin(ac: &AcAnalysis<'_>, out_node: usize, unity_hz: f64, bw_hz: f64) -> Result<f64> {
-    const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
+/// Log-sweep steps of the phase unwrap.
+const PHASE_POINTS: usize = 24;
+
+/// Wrapped phase change above which an unwrap step is halved.
+const MAX_PHASE_STEP: f64 = std::f64::consts::FRAC_PI_4;
+
+/// How many times one unwrap step may be halved: 1/32 of a sweep step is
+/// finer than the uniform 240-point sweep of the test oracle.
+const MAX_PHASE_SPLITS: u32 = 5;
+
+/// Phase margin (°) at the unity-gain frequency `unity_hz`, given
+/// `arg(f) = arg H(f)` and the DC phase.
+///
+/// The unwrapped phase telescopes to `arg H(f_u) − arg H(0) + 2πk`, so a
+/// sweep only has to pick the branch `k`. It runs 24 log steps from a
+/// decade below the −3 dB corner to `f_u`; a step whose wrapped change
+/// exceeds π/4 is halved (up to five times), so a sharp phase turn lands on
+/// the branch a fine sweep would pick. (A turn of more than 7π/4 inside one
+/// step wraps to under π/4 and stays hidden, as it does from any sampled
+/// unwrap at that step.)
+fn phase_margin(
+    arg: impl Fn(f64) -> Result<f64>,
+    dc_phase: f64,
+    unity_hz: f64,
+    bw_hz: f64,
+) -> Result<f64> {
     let f_start = (bw_hz / 10.0).max(1e-2);
-    let points = 240;
     let l0 = f_start.log10();
     let l1 = unity_hz.log10();
-    let mut phase = 0.0;
-    let mut prev = ac.transfer(out_node, TWO_PI * f_start)?.arg();
-    // Phase relative to the DC phase (0 for the double-inverting path).
-    let dc_phase = ac.transfer(out_node, 0.0)?.arg();
+    let mut prev = arg(f_start)?;
     let mut unwrapped = prev - dc_phase;
-    for k in 1..=points {
-        let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
-        let cur = ac.transfer(out_node, TWO_PI * f)?.arg();
-        let mut delta = cur - prev;
-        while delta > std::f64::consts::PI {
-            delta -= 2.0 * std::f64::consts::PI;
-        }
-        while delta < -std::f64::consts::PI {
-            delta += 2.0 * std::f64::consts::PI;
-        }
-        unwrapped += delta;
+    let mut x_prev = l0;
+    for k in 1..=PHASE_POINTS {
+        let (x, cur) = if k == PHASE_POINTS {
+            (l1, arg(unity_hz)?)
+        } else {
+            let x = l0 + (l1 - l0) * k as f64 / PHASE_POINTS as f64;
+            (x, arg(10f64.powf(x))?)
+        };
+        unwrapped += phase_step(&arg, (x_prev, prev), (x, cur), MAX_PHASE_SPLITS)?;
+        x_prev = x;
         prev = cur;
-        phase = unwrapped;
     }
-    Ok(180.0 + phase.to_degrees())
+    let principal = prev - dc_phase;
+    let branch = ((unwrapped - principal) / TAU).round();
+    Ok(180.0 + (principal + TAU * branch).to_degrees())
+}
+
+/// Unwrapped phase change from `(x0, p0)` to `(x1, p1)` (`x = log10 f`,
+/// `p` the wrapped phase), halving the step while its wrapped change
+/// exceeds [`MAX_PHASE_STEP`] and `splits` remain.
+fn phase_step(
+    arg: &impl Fn(f64) -> Result<f64>,
+    (x0, p0): (f64, f64),
+    (x1, p1): (f64, f64),
+    splits: u32,
+) -> Result<f64> {
+    let delta = wrap_phase(p1 - p0);
+    if !(delta.abs() > MAX_PHASE_STEP) || splits == 0 {
+        return Ok(delta);
+    }
+    let xm = 0.5 * (x0 + x1);
+    let pm = arg(10f64.powf(xm))?;
+    Ok(phase_step(arg, (x0, p0), (xm, pm), splits - 1)?
+        + phase_step(arg, (xm, pm), (x1, p1), splits - 1)?)
+}
+
+/// Wraps a phase difference into `[−π, π]`.
+fn wrap_phase(mut delta: f64) -> f64 {
+    while delta > PI {
+        delta -= TAU;
+    }
+    while delta < -PI {
+        delta += TAU;
+    }
+    delta
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmf_linalg::Complex64;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -702,20 +833,275 @@ mod tests {
         .is_err());
     }
 
+    /// `|H|` of the AC analysis at `node`, NaN where the solve fails.
+    fn magnitude<'a>(ac: &'a AcAnalysis<'_>, node: usize) -> impl Fn(f64) -> f64 + 'a {
+        move |f| {
+            ac.transfer(node, TAU * f)
+                .map(|v| v.abs())
+                .unwrap_or(f64::NAN)
+        }
+    }
+
+    /// Single-pole `|H|` with its −3 dB corner at `fc`.
+    fn one_pole(fc: f64) -> impl Fn(f64) -> f64 {
+        move |f| 1.0 / (1.0 + (f / fc).powi(2)).sqrt()
+    }
+
+    fn rel(a: f64, b: f64) -> f64 {
+        (a - b).abs() / b.abs()
+    }
+
     #[test]
     fn crossing_finder_agrees_with_analytic_rc() {
         // Single-pole RC: crossing of 1/√2 is exactly f_c.
         let r = 1e3;
         let c = 1e-9;
-        let fc = 1.0 / (2.0 * std::f64::consts::PI * r * c);
+        let fc = 1.0 / (TAU * r * c);
         let mut nl = Netlist::new(3);
         nl.voltage_source(1, 0, 1.0).unwrap();
         nl.resistor(1, 2, r).unwrap();
         nl.capacitor(2, 0, c).unwrap();
         let ac = AcAnalysis::new(&nl);
-        let f = find_crossing_freq(&ac, 2, std::f64::consts::FRAC_1_SQRT_2, 1.0, 1e10).unwrap();
-        assert!((f - fc).abs() / fc < 1e-6, "f = {f}, fc = {fc}");
+        let mag = magnitude(&ac, 2);
+        let f = find_crossing_freq(&mag, std::f64::consts::FRAC_1_SQRT_2, 1.0, 1e10).unwrap();
+        assert!(rel(f, fc) < 1e-9, "f = {f}, fc = {fc}");
         // No crossing when the target is above the passband value.
-        assert!(find_crossing_freq(&ac, 2, 2.0, 1.0, 1e10).is_none());
+        assert!(find_crossing_freq(&mag, 2.0, 1.0, 1e10).is_none());
+    }
+
+    #[test]
+    fn crossing_finder_is_none_without_a_crossing() {
+        // Still above the target at the top of the range.
+        assert!(find_crossing_freq(one_pole(1e5), 1e-9, 1.0, 1e10).is_none());
+    }
+
+    #[test]
+    fn crossing_finder_is_none_on_nan() {
+        let target = std::f64::consts::FRAC_1_SQRT_2;
+        // The corner sits between scan points 10^(31/6) and 10^(32/6).
+        let fc = 2e5;
+        let f = find_crossing_freq(one_pole(fc), target, 1.0, 1e10).unwrap();
+        assert!(rel(f, fc) < 1e-9, "f = {f}");
+        // NaN inside the bracket only: the scan passes, the search hits it.
+        let holed = |f: f64| {
+            if f > 1.9e5 && f < 2.1e5 {
+                f64::NAN
+            } else {
+                one_pole(fc)(f)
+            }
+        };
+        assert!(holed(10f64.powf(31.0 / 6.0)).is_finite());
+        assert!(holed(10f64.powf(32.0 / 6.0)).is_finite());
+        assert!(find_crossing_freq(holed, target, 1.0, 1e10).is_none());
+        // NaN during the scan.
+        let broken = |f: f64| if f > 1e3 { f64::NAN } else { one_pole(fc)(f) };
+        assert!(find_crossing_freq(broken, target, 1.0, 1e10).is_none());
+    }
+
+    #[test]
+    fn two_pole_phase_margin_is_analytic() {
+        // Two inverting gm–R‖C stages: H(0) = gm1·R1·gm2·R2 = 1000, poles
+        // at p1 = 1/(2πR1C1) and p2 = 1/(2πR2C2).
+        let (gm1, r1, c1) = (1e-3, 1e5, 10e-12);
+        let (gm2, r2, c2) = (1e-3, 1e4, 0.2e-12);
+        let mut nl = Netlist::new(4);
+        nl.voltage_source(1, 0, 1.0).unwrap();
+        nl.vccs(2, 0, 1, 0, gm1).unwrap();
+        nl.resistor(2, 0, r1).unwrap();
+        nl.capacitor(2, 0, c1).unwrap();
+        nl.vccs(3, 0, 2, 0, gm2).unwrap();
+        nl.resistor(3, 0, r2).unwrap();
+        nl.capacitor(3, 0, c2).unwrap();
+        let ac = AcAnalysis::new(&nl);
+        let a0 = gm1 * r1 * gm2 * r2;
+        let (p1, p2) = (1.0 / (TAU * r1 * c1), 1.0 / (TAU * r2 * c2));
+        // |H(f_u)| = 1 ⇔ u²/(p1²p2²) + u(1/p1² + 1/p2²) + 1 − A0² = 0, u = f_u².
+        let (qa, qb, qc) = (
+            1.0 / (p1 * p1 * p2 * p2),
+            1.0 / (p1 * p1) + 1.0 / (p2 * p2),
+            1.0 - a0 * a0,
+        );
+        let fu = ((-qb + (qb * qb - 4.0 * qa * qc).sqrt()) / (2.0 * qa)).sqrt();
+        let pm = 180.0 - (fu / p1).atan().to_degrees() - (fu / p2).atan().to_degrees();
+
+        let mag = magnitude(&ac, 3);
+        let bw = find_crossing_freq(&mag, a0 / 2f64.sqrt(), 1.0, 1e11).unwrap();
+        assert!(rel(bw, p1) < 0.01, "bw = {bw}, p1 = {p1}");
+        let unity = find_crossing_freq(&mag, 1.0, bw, 1e12).unwrap();
+        assert!(rel(unity, fu) < 1e-9, "unity = {unity}, analytic {fu}");
+        let dc_phase = ac.transfer(3, 0.0).unwrap().arg();
+        let got =
+            phase_margin(|f| Ok(ac.transfer(3, TAU * f)?.arg()), dc_phase, unity, bw).unwrap();
+        assert!(rel(got, pm) < 1e-9, "pm = {got}, analytic {pm}");
+    }
+
+    #[test]
+    fn sharp_phase_turn_keeps_the_fine_sweep_branch() {
+        // A pole at 1 kHz and a Q = 20 and a Q = 1 resonance at 178 kHz,
+        // inside the sweep step 10^(31/6)..10^(32/6) Hz: the phase falls
+        // ~208° within that one step, which wraps to +152°, so an unwrap
+        // that never subdivided would land a whole branch off.
+        let p1: f64 = 1e3;
+        let resonances: [(f64, f64); 2] = [(1.78e5, 20.0), (1.78e5, 1.0)];
+        let h = |f: f64| {
+            let s = Complex64::new(0.0, f);
+            let mut den = Complex64::ONE + s / p1;
+            for (f0, q) in resonances {
+                den *= Complex64::ONE + s / (q * f0) + s * s / (f0 * f0);
+            }
+            den.recip()
+        };
+        let (unity, bw): (f64, f64) = (1e6, 1e3);
+        let exact = -(unity / p1).atan()
+            - resonances
+                .iter()
+                .map(|(f0, q)| ((unity / f0) / q).atan2(1.0 - (unity / f0).powi(2)))
+                .sum::<f64>();
+        let got = phase_margin(|f| Ok(h(f).arg()), 0.0, unity, bw).unwrap();
+        let want = 180.0 + exact.to_degrees();
+        assert!(rel(got, want) < 1e-9, "pm = {got}, continuous {want}");
+    }
+
+    #[test]
+    fn search_agrees_with_fixed_bisection_oracle() {
+        let tb = OpAmpTestbench::default_45nm();
+        for (stage, seed) in [(Stage::Schematic, 31), (Stage::PostLayout, 32)] {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut compared = 0;
+            for _ in 0..1000 {
+                let vars = tb.draw_variations(&mut r, stage);
+                let Ok(die) = tb.bias(stage, &vars) else {
+                    continue;
+                };
+                let new = tb.simulate(stage, &vars);
+                let old = oracle::measure_ac(&die.netlist).map(|(g, bw, pm)| OpAmpPerformance {
+                    gain_db: g,
+                    bandwidth_hz: bw,
+                    power_w: die.power_w,
+                    offset_v: die.offset_v,
+                    phase_margin_deg: pm,
+                });
+                let (Ok(new), Ok(old)) = (&new, &old) else {
+                    assert_eq!(new.is_ok(), old.is_ok(), "{stage:?}: {new:?} vs {old:?}");
+                    continue;
+                };
+                assert_eq!(new.gain_db.to_bits(), old.gain_db.to_bits());
+                assert_eq!(new.power_w.to_bits(), old.power_w.to_bits());
+                assert_eq!(new.offset_v.to_bits(), old.offset_v.to_bits());
+                assert!(
+                    rel(new.bandwidth_hz, old.bandwidth_hz) <= 1e-9,
+                    "{stage:?} bw {} vs {}",
+                    new.bandwidth_hz,
+                    old.bandwidth_hz
+                );
+                assert!(
+                    rel(new.phase_margin_deg, old.phase_margin_deg) <= 1e-9,
+                    "{stage:?} pm {} vs {}",
+                    new.phase_margin_deg,
+                    old.phase_margin_deg
+                );
+                compared += 1;
+            }
+            assert!(compared >= 990, "{stage:?}: only {compared} dies measured");
+        }
+    }
+}
+
+/// Reference measurement: a 60-point log scan plus a fixed 60-step
+/// bisection per crossing, and a 240-point phase unwrap. The tests check
+/// the converging search and the short unwrap against it.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn measure_ac(netlist: &Netlist) -> Result<(f64, f64, f64)> {
+        let ac = AcAnalysis::new(netlist);
+        let gain0 = ac.transfer(OUT_NODE, 0.0)?.abs();
+        if !(gain0 > 1.0) {
+            return Err(CircuitError::MeasurementFailure {
+                metric: "dc gain",
+                reason: format!("|H(0)| = {gain0:.3e} <= 1"),
+            });
+        }
+        let bandwidth_hz = find_crossing_freq(&ac, OUT_NODE, gain0 / 2f64.sqrt(), 1.0, 1e11)
+            .ok_or(CircuitError::MeasurementFailure {
+                metric: "-3dB bandwidth",
+                reason: String::new(),
+            })?;
+        let unity_hz = find_crossing_freq(&ac, OUT_NODE, 1.0, bandwidth_hz, 1e12).ok_or(
+            CircuitError::MeasurementFailure {
+                metric: "unity-gain frequency",
+                reason: String::new(),
+            },
+        )?;
+        let pm = phase_margin(&ac, OUT_NODE, unity_hz, bandwidth_hz)?;
+        Ok((20.0 * gain0.log10(), bandwidth_hz, pm))
+    }
+
+    fn find_crossing_freq(
+        ac: &AcAnalysis<'_>,
+        out_node: usize,
+        target: f64,
+        f_lo: f64,
+        f_hi: f64,
+    ) -> Option<f64> {
+        let mag = |f: f64| -> f64 {
+            ac.transfer(out_node, TAU * f)
+                .map(|v| v.abs())
+                .unwrap_or(f64::NAN)
+        };
+        let points = 60;
+        let l0 = f_lo.log10();
+        let l1 = f_hi.log10();
+        let mut prev_f = f_lo;
+        if !(mag(f_lo) > target) {
+            return None;
+        }
+        let mut bracket = None;
+        for k in 1..=points {
+            let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
+            let m = mag(f);
+            if m.is_nan() {
+                return None;
+            }
+            if m <= target {
+                bracket = Some((prev_f, f));
+                break;
+            }
+            prev_f = f;
+        }
+        let (mut lo, mut hi) = bracket?;
+        for _ in 0..60 {
+            let mid = (lo.log10() + hi.log10()) / 2.0;
+            let fm = 10f64.powf(mid);
+            if mag(fm) > target {
+                lo = fm;
+            } else {
+                hi = fm;
+            }
+        }
+        Some((lo * hi).sqrt())
+    }
+
+    fn phase_margin(
+        ac: &AcAnalysis<'_>,
+        out_node: usize,
+        unity_hz: f64,
+        bw_hz: f64,
+    ) -> Result<f64> {
+        let f_start = (bw_hz / 10.0).max(1e-2);
+        let points = 240;
+        let l0 = f_start.log10();
+        let l1 = unity_hz.log10();
+        let mut prev = ac.transfer(out_node, TAU * f_start)?.arg();
+        let dc_phase = ac.transfer(out_node, 0.0)?.arg();
+        let mut unwrapped = prev - dc_phase;
+        for k in 1..=points {
+            let f = 10f64.powf(l0 + (l1 - l0) * k as f64 / points as f64);
+            let cur = ac.transfer(out_node, TAU * f)?.arg();
+            unwrapped += wrap_phase(cur - prev);
+            prev = cur;
+        }
+        Ok(180.0 + unwrapped.to_degrees())
     }
 }

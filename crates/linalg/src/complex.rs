@@ -237,6 +237,11 @@ impl CVector {
         &self.data
     }
 
+    /// Sets every element to `z`.
+    pub fn fill(&mut self, z: Complex64) {
+        self.data.fill(z);
+    }
+
     /// Euclidean norm `sqrt(Σ |zᵢ|²)`.
     pub fn norm2(&self) -> f64 {
         self.data.iter().map(|z| z.abs_sq()).sum::<f64>().sqrt()
@@ -291,6 +296,11 @@ impl CMatrix {
             m[(i, i)] = Complex64::ONE;
         }
         m
+    }
+
+    /// Sets every element to `z`.
+    pub fn fill(&mut self, z: Complex64) {
+        self.data.fill(z);
     }
 
     /// Number of rows.
@@ -379,7 +389,7 @@ impl IndexMut<(usize, usize)> for CMatrix {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CLu {
     lu: CMatrix,
     perm: Vec<usize>,
@@ -393,6 +403,22 @@ impl CLu {
     /// * [`LinalgError::NotSquare`] for rectangular input.
     /// * [`LinalgError::Singular`] when a pivot column is (numerically) zero.
     pub fn new(a: &CMatrix) -> Result<Self> {
+        let mut lu = CLu::default();
+        lu.refactor(a)?;
+        Ok(lu)
+    }
+
+    /// Factorises `a` into this factorisation's storage, allocating only
+    /// when `a` is larger than any matrix it held before. A sweep that
+    /// factorises one system per frequency reuses one `CLu` this way.
+    ///
+    /// After an error the factorisation is unusable until the next
+    /// successful `refactor`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CLu::new`].
+    pub fn refactor(&mut self, a: &CMatrix) -> Result<()> {
         if a.nrows() != a.ncols() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
@@ -400,8 +426,14 @@ impl CLu {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let lu = &mut self.lu;
+        lu.rows = n;
+        lu.cols = n;
+        lu.data.clear();
+        lu.data.extend_from_slice(&a.data);
+        let perm = &mut self.perm;
+        perm.clear();
+        perm.extend(0..n);
 
         for k in 0..n {
             let mut pivot_row = k;
@@ -434,7 +466,7 @@ impl CLu {
                 }
             }
         }
-        Ok(CLu { lu, perm })
+        Ok(())
     }
 
     /// Dimension of the factorised matrix.
@@ -448,6 +480,17 @@ impl CLu {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when `b.len() != dim()`.
     pub fn solve_vec(&self, b: &CVector) -> Result<CVector> {
+        let mut x = CVector::default();
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A x = b` into `x`, reusing its storage (resized to `dim()`).
+    ///
+    /// # Errors
+    ///
+    /// As [`CLu::solve_vec`].
+    pub fn solve_into(&self, b: &CVector, x: &mut CVector) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -456,10 +499,8 @@ impl CLu {
                 rhs: (b.len(), 1),
             });
         }
-        let mut x = CVector::zeros(n);
-        for i in 0..n {
-            x[i] = b[self.perm[i]];
-        }
+        x.data.clear();
+        x.data.extend(self.perm.iter().map(|&p| b[p]));
         for i in 1..n {
             let mut s = x[i];
             for k in 0..i {
@@ -474,7 +515,7 @@ impl CLu {
             }
             x[i] = s / self.lu[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 }
 
@@ -603,5 +644,35 @@ mod tests {
         let lu = CLu::new(&CMatrix::identity(2)).unwrap();
         assert!(lu.solve_vec(&CVector::zeros(3)).is_err());
         assert_eq!(lu.dim(), 2);
+    }
+
+    #[test]
+    fn clu_refactor_reuses_storage_bit_identically() {
+        let system = |n: usize, shift: f64| {
+            let mut a = CMatrix::zeros(n, n);
+            let mut b = CVector::zeros(n);
+            for i in 0..n {
+                b[i] = Complex64::new(1.0, i as f64);
+                for j in 0..n {
+                    a[(i, j)] =
+                        Complex64::new(((i * 7 + j * 3) % 5) as f64 - 2.0, shift * j as f64);
+                }
+                a[(i, i)] += Complex64::from_re(6.0);
+            }
+            (a, b)
+        };
+        let mut lu = CLu::default();
+        let mut x = CVector::default();
+        // Grow, shrink and refactor after a singular matrix: every result
+        // must equal a fresh factorisation's bit for bit.
+        for (n, shift) in [(3, 0.5), (6, 1.5), (2, -1.0), (6, 0.25)] {
+            let (a, b) = system(n, shift);
+            lu.refactor(&a).unwrap();
+            lu.solve_into(&b, &mut x).unwrap();
+            assert_eq!(x, CLu::new(&a).unwrap().solve_vec(&b).unwrap());
+            assert_eq!(lu.dim(), n);
+            assert!(lu.refactor(&CMatrix::zeros(n, n)).is_err());
+        }
+        assert!(lu.refactor(&CMatrix::zeros(2, 3)).is_err());
     }
 }

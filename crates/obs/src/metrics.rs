@@ -335,6 +335,9 @@ pub mod counters {
     pub static GUARD_FLAGS: Counter = Counter::new("guard.flags");
     /// Downgrade steps taken by the `RobustPipeline` ladder.
     pub static LADDER_RUNG_TRANSITIONS: Counter = Counter::new("ladder.rung_transitions");
+    /// MNA AC solves (`AcAnalysis::solve` and `transfer`), the simulator's
+    /// dominant cost.
+    pub static MNA_SOLVES: Counter = Counter::new("mna.solves");
     /// FFT invocations (`fft_real` and friends).
     pub static FFT_CALLS: Counter = Counter::new("fft.calls");
     /// Spectrum analyses (`spectrum::analyze`).
@@ -352,7 +355,7 @@ pub mod counters {
     /// Packets rejected by a merge (corrupt, incompatible, invalid).
     pub static SHARD_REJECTS: Counter = Counter::new("shard.rejects");
 
-    static ALL: [&Counter; 21] = [
+    static ALL: [&Counter; 22] = [
         &MONTE_CARLO_SIMS,
         &MONTE_CARLO_RETRIES,
         &CHOLESKY_CALLS,
@@ -366,6 +369,7 @@ pub mod counters {
         &FAULT_INJECTIONS,
         &GUARD_FLAGS,
         &LADDER_RUNG_TRANSITIONS,
+        &MNA_SOLVES,
         &FFT_CALLS,
         &SPECTRUM_ANALYSES,
         &DRIFT_WINDOWS,

@@ -159,12 +159,12 @@ fn opamp_cli_outputs_match_pinned_digests() {
         "opamp",
         &got,
         &[
-            ("early.csv", "88334a180f7357bf"),
-            ("late.csv", "94d696ec5a3ad4b0"),
-            ("default.csv", "fc62e83feceafed4"),
-            ("degrade.csv", "fc62e83feceafed4"),
-            ("strict.csv", "fc62e83feceafed4"),
-            ("merge.csv", "45d28e80f9431693"),
+            ("early.csv", "1bd035bf2e679b07"),
+            ("late.csv", "1c389d82f2209d69"),
+            ("default.csv", "6fc31e5dd997d64b"),
+            ("degrade.csv", "6fc31e5dd997d64b"),
+            ("strict.csv", "6fc31e5dd997d64b"),
+            ("merge.csv", "74aa952ad8db61c5"),
         ],
     );
 }
