@@ -61,18 +61,6 @@ impl TechnologyParams {
             cov: 0.35e-9,
         }
     }
-
-    /// Representative 0.18 µm NMOS parameters (used by the flash-ADC
-    /// comparators).
-    pub fn nmos_180nm() -> Self {
-        TechnologyParams {
-            kprime: 300e-6,
-            vth: 0.50,
-            lambda: 0.08,
-            cox: 8.5e-3,
-            cov: 0.30e-9,
-        }
-    }
 }
 
 /// Geometry of one transistor.
@@ -168,11 +156,6 @@ impl Mosfet {
         }
     }
 
-    /// Effective threshold voltage after variation (magnitude).
-    pub fn vth_effective(&self, var: &DeviceVariation) -> f64 {
-        self.tech.vth + var.delta_vth
-    }
-
     /// Effective process transconductance after variation.
     pub fn kprime_effective(&self, var: &DeviceVariation) -> f64 {
         self.tech.kprime * (1.0 + var.rel_kprime)
@@ -234,20 +217,6 @@ impl Mosfet {
         }
         Ok(ss)
     }
-
-    /// Drain current when **voltage-biased** in saturation at gate
-    /// overdrive `vgs` (magnitude) and `vds`.
-    ///
-    /// Returns zero below threshold (cut-off).
-    pub fn id_saturation(&self, vgs: f64, vds: f64, var: &DeviceVariation) -> f64 {
-        let vov = vgs - self.vth_effective(var);
-        if vov <= 0.0 {
-            return 0.0;
-        }
-        let kp = self.kprime_effective(var);
-        let lambda = self.lambda_effective(var);
-        0.5 * kp * self.geometry.aspect() * vov * vov * (1.0 + lambda * vds.max(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -291,23 +260,6 @@ mod tests {
         let a = m.bias_with_current(50e-6, 0.6, &var).unwrap();
         let b = m.bias_with_current(200e-6, 0.6, &var).unwrap();
         assert!((b.gm / a.gm - 2.0).abs() < 1e-9); // 4× current → 2× gm
-    }
-
-    #[test]
-    fn vth_shift_changes_voltage_biased_current() {
-        let m = nmos();
-        let nominal = m.id_saturation(0.8, 0.6, &DeviceVariation::default());
-        let shifted = m.id_saturation(
-            0.8,
-            0.6,
-            &DeviceVariation {
-                delta_vth: 0.05,
-                ..Default::default()
-            },
-        );
-        assert!(shifted < nominal); // higher Vth → less current
-                                    // Cut-off below threshold:
-        assert_eq!(m.id_saturation(0.3, 0.6, &DeviceVariation::default()), 0.0);
     }
 
     #[test]
@@ -367,24 +319,11 @@ mod tests {
 
     #[test]
     fn technology_presets_are_sane() {
-        for t in [
-            TechnologyParams::nmos_45nm(),
-            TechnologyParams::pmos_45nm(),
-            TechnologyParams::nmos_180nm(),
-        ] {
+        for t in [TechnologyParams::nmos_45nm(), TechnologyParams::pmos_45nm()] {
             assert!(t.kprime > 0.0 && t.vth > 0.0 && t.lambda > 0.0);
             assert!(t.cox > 0.0 && t.cov > 0.0);
         }
         // PMOS mobility below NMOS.
         assert!(TechnologyParams::pmos_45nm().kprime < TechnologyParams::nmos_45nm().kprime);
-    }
-
-    #[test]
-    fn clm_increases_current_with_vds() {
-        let m = nmos();
-        let var = DeviceVariation::default();
-        let low = m.id_saturation(0.8, 0.2, &var);
-        let high = m.id_saturation(0.8, 1.0, &var);
-        assert!(high > low);
     }
 }

@@ -1,9 +1,7 @@
 //! Property-based tests for the circuit-simulation substrate.
 
-use bmf_circuits::dc::{DcElement, DcNetlist, DcSolver};
 use bmf_circuits::fft::{fft_real, ifft_in_place};
 use bmf_circuits::mna::AcAnalysis;
-use bmf_circuits::mosfet::{DeviceVariation, Geometry, Mosfet, Polarity, TechnologyParams};
 use bmf_circuits::netlist::Netlist;
 use proptest::prelude::*;
 
@@ -77,78 +75,5 @@ proptest! {
         let time_energy: f64 = signal.iter().map(|x| x * x).sum();
         let freq_energy: f64 = spec.iter().map(|z| z.abs_sq()).sum::<f64>() / n as f64;
         prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
-    }
-
-    /// The DC solver reproduces the analytic answer for arbitrary
-    /// two-resistor dividers.
-    #[test]
-    fn dc_divider_matches_formula(
-        vdd in 0.1..10.0f64,
-        r1 in 10.0..1e6f64,
-        r2 in 10.0..1e6f64,
-    ) {
-        let mut nl = DcNetlist::new(3);
-        nl.add(DcElement::VoltageSource { p: 1, n: 0, volts: vdd }).unwrap();
-        nl.add(DcElement::Resistor { a: 1, b: 2, ohms: r1 }).unwrap();
-        nl.add(DcElement::Resistor { a: 2, b: 0, ohms: r2 }).unwrap();
-        let sol = DcSolver::new().solve(&nl).unwrap();
-        let expected = vdd * r2 / (r1 + r2);
-        prop_assert!((sol.voltage(2) - expected).abs() < 1e-9 * vdd.max(1.0));
-    }
-
-    /// Diode-connected device: the solved operating point always balances
-    /// resistor and device currents (KCL at convergence), across supply,
-    /// resistance and process corners.
-    #[test]
-    fn dc_diode_kcl(
-        vdd in 1.0..3.0f64,
-        r in 5e3..200e3f64,
-        dvth in -0.05..0.05f64,
-    ) {
-        let m = Mosfet::new(
-            Polarity::Nmos,
-            TechnologyParams::nmos_180nm(),
-            Geometry::new(10e-6, 1e-6).unwrap(),
-        );
-        let var = DeviceVariation { delta_vth: dvth, ..Default::default() };
-        let mut nl = DcNetlist::new(3);
-        nl.add(DcElement::VoltageSource { p: 1, n: 0, volts: vdd }).unwrap();
-        nl.add(DcElement::Resistor { a: 1, b: 2, ohms: r }).unwrap();
-        nl.add(DcElement::nmos_diode_connected(2, 0, m, var)).unwrap();
-        let sol = DcSolver::new().solve(&nl).unwrap();
-        let vgs = sol.voltage(2);
-        let i_r = (vdd - vgs) / r;
-        let i_m = m.id_saturation(vgs, vgs, &var);
-        prop_assert!(
-            (i_r - i_m).abs() <= 1e-6 * i_r.abs().max(1e-9),
-            "i_r = {i_r:.3e}, i_m = {i_m:.3e}"
-        );
-    }
-
-    /// Square-law drain current is monotone in both controls (in
-    /// saturation with CLM).
-    #[test]
-    fn mosfet_current_monotonicity(
-        vgs in 0.6..1.8f64,
-        vds in 0.1..1.8f64,
-    ) {
-        let m = Mosfet::new(
-            Polarity::Nmos,
-            TechnologyParams::nmos_180nm(),
-            Geometry::new(4e-6, 0.4e-6).unwrap(),
-        );
-        let var = DeviceVariation::default();
-        let base = m.id_saturation(vgs, vds, &var);
-        prop_assert!(m.id_saturation(vgs + 0.05, vds, &var) >= base);
-        prop_assert!(m.id_saturation(vgs, vds + 0.05, &var) >= base);
-        // Higher Vth strictly reduces the current when conducting.
-        if base > 0.0 {
-            let slow = m.id_saturation(
-                vgs,
-                vds,
-                &DeviceVariation { delta_vth: 0.05, ..Default::default() },
-            );
-            prop_assert!(slow <= base);
-        }
     }
 }

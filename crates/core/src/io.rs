@@ -203,7 +203,8 @@ pub fn write_moments_csv<W: Write>(
 ///
 /// # Errors
 ///
-/// Returns [`BmfError::InvalidMoments`] on structural problems.
+/// Returns [`BmfError::InvalidMoments`] on structural problems, including
+/// an empty or repeated metric name in the header.
 pub fn read_moments_csv<R: Read>(reader: &mut R) -> Result<(Vec<String>, MomentEstimate)> {
     let buf = BufReader::new(reader);
     let mut lines = buf.lines();
@@ -228,6 +229,27 @@ pub fn read_moments_csv<R: Read>(reader: &mut R) -> Result<(Vec<String>, MomentE
         return Err(BmfError::InvalidMoments {
             reason: "moments CSV has no metric columns".to_string(),
         });
+    }
+    // Specs bind to metrics by name, so every name must be present and
+    // unique. Positions are 1-based header fields, `kind` being field 1.
+    for (j, name) in names.iter().enumerate() {
+        if name.is_empty() {
+            return Err(BmfError::InvalidMoments {
+                reason: format!(
+                    "moments CSV header field {} (1-based) is empty; every metric needs a name",
+                    j + 2
+                ),
+            });
+        }
+        if let Some(first) = names[..j].iter().position(|n| n == name) {
+            return Err(BmfError::InvalidMoments {
+                reason: format!(
+                    "moments CSV header fields {} and {} (1-based) both name metric '{name}'",
+                    first + 2,
+                    j + 2
+                ),
+            });
+        }
     }
 
     let parse_row = |line: &str, expect: &str| -> Result<Vec<f64>> {
@@ -374,6 +396,19 @@ mod tests {
                                                                                         // asymmetric covariance fails MomentEstimate::validate
         let bad = "kind,a,b\nmean,0,0\ncov0,1.0,0.9\ncov1,0.1,1.0\n";
         assert!(read_moments_csv(&mut bad.as_bytes()).is_err());
+        // Empty or repeated metric names, in otherwise valid files.
+        let body = "mean,0,0,0\ncov0,1,0,0\ncov1,0,1,0\ncov2,0,0,1\n";
+        for (header, position) in [
+            ("kind,a,,b", "field 3 "),
+            ("kind,a,b,", "field 4 "),
+            ("kind,a,b,a", "fields 2 and 4 "),
+        ] {
+            let csv = format!("{header}\n{body}");
+            let msg = read_moments_csv(&mut csv.as_bytes())
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains(position), "{header}: {msg}");
+        }
     }
 
     #[test]

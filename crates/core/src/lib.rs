@@ -27,11 +27,9 @@
 //! paper — is provided in [`yield_estimation`] (plain Monte Carlo plus
 //! mean-shift importance sampling for high-sigma failures).
 //!
-//! Companion modules extend the reproduction: [`univariate`] (the
-//! single-metric prior art the paper generalises), [`bernoulli`] (BMF-BD
-//! pass/fail yield fusion), [`diagnostics`] (Mardia normality test for the
-//! Gaussian assumption), [`robustness`] (non-Gaussian stress harness) and
-//! [`io`] (CSV interchange).
+//! Companion modules extend the reproduction: [`diagnostics`] (Mardia
+//! normality test for the Gaussian assumption), [`robustness`]
+//! (non-Gaussian stress harness) and [`io`] (CSV interchange).
 //!
 //! # Quickstart
 //!
@@ -74,7 +72,6 @@
 // the semantics every constructor here wants.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod bernoulli;
 pub mod cv;
 pub mod diagnostics;
 pub mod drift;
@@ -90,10 +87,8 @@ pub mod parallel;
 pub mod pipeline;
 pub mod prior;
 pub mod robustness;
-pub mod sequential;
 pub mod suffstats;
 pub mod transform;
-pub mod univariate;
 pub mod yield_estimation;
 
 pub use error::BmfError;

@@ -24,8 +24,9 @@ impl SpecLimits {
     ///
     /// # Errors
     ///
-    /// Returns [`BmfError::InvalidConfig`] for empty limits or an interval
-    /// with `lower >= upper`.
+    /// Returns [`BmfError::InvalidConfig`] for empty limits, a NaN bound
+    /// (every comparison with NaN is false, so it would pass every die) or
+    /// an interval with `lower >= upper`. Infinite bounds are allowed.
     pub fn new(lower: Vec<Option<f64>>, upper: Vec<Option<f64>>) -> Result<Self> {
         if lower.is_empty() || lower.len() != upper.len() {
             return Err(BmfError::InvalidConfig {
@@ -37,6 +38,13 @@ impl SpecLimits {
             });
         }
         for (i, (lo, hi)) in lower.iter().zip(upper.iter()).enumerate() {
+            for (side, bound) in [("lower", lo), ("upper", hi)] {
+                if bound.is_some_and(f64::is_nan) {
+                    return Err(BmfError::InvalidConfig {
+                        reason: format!("metric {i}: {side} bound is NaN"),
+                    });
+                }
+            }
             if let (Some(l), Some(h)) = (lo, hi) {
                 if l >= h {
                     return Err(BmfError::InvalidConfig {
@@ -338,6 +346,9 @@ mod tests {
         assert!(SpecLimits::new(vec![Some(2.0)], vec![Some(1.0)]).is_err());
         assert!(SpecLimits::new(vec![Some(1.0)], vec![Some(2.0)]).is_ok());
         assert!(SpecLimits::new(vec![None], vec![None]).is_ok());
+        assert!(SpecLimits::new(vec![Some(f64::NAN)], vec![None]).is_err());
+        assert!(SpecLimits::new(vec![None], vec![Some(f64::NAN)]).is_err());
+        assert!(SpecLimits::new(vec![Some(f64::NEG_INFINITY)], vec![Some(f64::INFINITY)]).is_ok());
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //!   matrices (used for PSD diagnostics and nearest-SPD projection).
 //! * [`spd`]: condition-number estimation and the SPD repair ladder
 //!   ([`Cholesky::new_with_repair`]) for near-singular covariances.
-//! * [`Qr`]: Householder QR with least-squares solve.
 //! * [`Complex64`], [`CVector`], [`CMatrix`], [`CLu`]: complex arithmetic
 //!   and a complex LU solver for AC circuit analysis.
 //!
@@ -48,7 +47,6 @@ mod eigen;
 mod error;
 mod lu;
 mod matrix;
-mod qr;
 pub mod spd;
 mod vector;
 
@@ -58,7 +56,6 @@ pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use spd::{condition_number, RepairedCholesky, SpdRepair};
 pub use vector::Vector;
 

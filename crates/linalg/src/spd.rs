@@ -365,7 +365,7 @@ mod tests {
         assert!(condition_number(&nan).is_err());
     }
 
-    /// The acceptance-criterion scenario: sample covariances from exactly
+    /// The scenario the ladder exists for: sample covariances from exactly
     /// `n = d + 1` samples that contain a duplicated row are rank
     /// deficient; plain Cholesky rejects them, the repair ladder must
     /// recover every one (with a recorded repair).

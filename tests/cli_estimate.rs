@@ -8,9 +8,13 @@
 //! from the release build; this suite runs in debug under `cargo test`
 //! and in release under `cargo test --release`, so it also checks that
 //! the build profile never changes an output byte.
+//!
+//! `bmf yield`, which reads those moments back, must refuse what it
+//! cannot compare or bind by name: a NaN spec bound and a moments header
+//! with an empty or repeated metric name.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// FNV-1a 64 of a file's bytes, as 16 lowercase hex digits.
 fn digest(path: &str) -> String {
@@ -42,13 +46,18 @@ impl Drop for TempDir {
     }
 }
 
-/// Runs `bmf <args>` and asserts a clean exit.
-fn bmf(args: &[&str]) {
-    let out = Command::new(env!("CARGO_BIN_EXE_bmf"))
+/// Runs `bmf <args>` and returns its output, whatever the exit.
+fn run_bmf(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bmf"))
         .args(["--log-level", "error"])
         .args(args)
         .output()
-        .expect("bmf runs");
+        .expect("bmf runs")
+}
+
+/// Runs `bmf <args>` and asserts a clean exit.
+fn bmf(args: &[&str]) {
+    let out = run_bmf(args);
     assert!(
         out.status.success(),
         "bmf {args:?} exited {:?}: {}",
@@ -184,4 +193,51 @@ fn adc_cli_outputs_match_pinned_digests() {
             ("merge.csv", "9404558bed67ca58"),
         ],
     );
+}
+
+#[test]
+fn yield_rejects_nan_bounds_and_ambiguous_metric_names() {
+    let dir = TempDir::new("yield");
+    let body = "mean,80,1e-4\ncov0,1,0\ncov1,0,1e-10\n";
+    let moments = dir.path("moments.csv");
+    std::fs::write(&moments, format!("kind,gain_db,power_w\n{body}")).unwrap();
+
+    // Every comparison with NaN is false: such a bound would pass every
+    // die, so it is a usage error (exit 2) that names the bound.
+    for (spec, side) in [("gain_db>=NaN", "lower"), ("power_w<=NaN", "upper")] {
+        let out = run_bmf(&["yield", "--moments", &moments, "--spec", spec]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{side} bound is NaN")),
+            "{spec}: {stderr}"
+        );
+    }
+    // Infinite bounds stay legal.
+    for spec in ["gain_db>=-inf", "power_w<=inf"] {
+        let out = run_bmf(&[
+            "yield",
+            "--moments",
+            &moments,
+            "--spec",
+            spec,
+            "--draws",
+            "100",
+        ]);
+        assert!(out.status.success(), "{spec}: {:?}", out.status.code());
+    }
+
+    // A spec binds to a metric by name, so a header that omits or repeats
+    // one is unreadable input (exit 1) and the error names the position.
+    for (header, position) in [
+        ("kind,gain_db,", "field 3 "),
+        ("kind,gain_db,gain_db", "fields 2 and 3 "),
+    ] {
+        let path = dir.path("bad.csv");
+        std::fs::write(&path, format!("{header}\n{body}")).unwrap();
+        let out = run_bmf(&["yield", "--moments", &path, "--spec", "gain_db>=79"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{header}: {stderr}");
+        assert!(stderr.contains(position), "{header}: {stderr}");
+    }
 }
