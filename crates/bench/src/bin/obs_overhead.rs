@@ -13,8 +13,9 @@
 //! 1. calibrate the per-call cost of a disabled span + counter pair with
 //!    a tight loop;
 //! 2. run one CV selection with recording *enabled* to count how many
-//!    instrumentation hits (span events + counter increments) the
-//!    workload performs;
+//!    instrumentation hits (span events + counter calls + histogram
+//!    observations) the workload performs — a counter bumped once by
+//!    `add(k)` is one call, not `k`;
 //! 3. time the same CV selection with recording *disabled* (the shipped
 //!    configuration) and report `hits x per_call_cost / workload_time`;
 //! 4. gate the *events-enabled* path the same way: calibrate the cost of
@@ -90,14 +91,16 @@ fn main() {
     bmf_obs::enable();
     cv.select_seeded(&early, &late, 6, 1).expect("cv select");
     let events = bmf_obs::take_events().len() as u64;
-    let increments: u64 = bmf_obs::metrics::snapshot()
-        .counters
+    let calls: u64 = bmf_obs::counters::all().iter().map(|c| c.calls()).sum();
+    let observations: u64 = bmf_obs::histograms::all()
         .iter()
-        .map(|(_, v)| v)
+        .map(|h| h.stats().count)
         .sum();
     bmf_obs::reset();
-    let hits = events + increments;
-    eprintln!("CV workload: {events} span events + {increments} counter increments = {hits} hits");
+    let hits = events + calls + observations;
+    eprintln!(
+        "CV workload: {events} span events + {calls} counter calls + {observations} histogram observations = {hits} hits"
+    );
 
     // 3. Time the workload in the shipped (disabled) configuration.
     cv.select_seeded(&early, &late, 6, 1).expect("warm-up");

@@ -40,10 +40,6 @@ pub mod streams {
     /// Per-repeat fold shuffles of one CV search
     /// ([`crate::cv::CrossValidation::select_seeded`]).
     pub const CV_FOLD_SHUFFLE: u64 = 0x0CF5;
-    /// The coarse stage of [`crate::cv::CrossValidation::select_refined_seeded`].
-    pub const CV_COARSE: u64 = 0x0CC0;
-    /// The zoomed stage of [`crate::cv::CrossValidation::select_refined_seeded`].
-    pub const CV_ZOOM: u64 = 0x0CF1;
 }
 
 /// [`scoped_map_range`] with worker panics converted to
@@ -76,7 +72,7 @@ where
 
 /// [`scoped_map_product`] with worker panics converted to
 /// [`BmfError::Worker`]: the `(outer × inner)` fine-grained work split
-/// used by the CV scorer (candidates × repeats).
+/// used by the CV scorer's per-fold precompute (repeats × folds).
 ///
 /// # Errors
 ///
@@ -130,11 +126,8 @@ mod tests {
 
     #[test]
     fn stream_constants_are_distinct() {
-        let all = [
-            streams::CV_FOLD_SHUFFLE,
-            streams::CV_COARSE,
-            streams::CV_ZOOM,
-        ];
+        // Every stream constant of this crate belongs in this list.
+        let all = [streams::CV_FOLD_SHUFFLE];
         let set: std::collections::HashSet<_> = all.iter().collect();
         assert_eq!(set.len(), all.len());
     }

@@ -24,7 +24,7 @@ use crate::{LinalgError, Matrix, Result, Vector};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cholesky {
     /// Lower-triangular factor, stored densely (upper part zero).
     l: Matrix,
@@ -42,8 +42,34 @@ impl Cholesky {
     /// * [`LinalgError::NotPositiveDefinite`] when a pivot is not strictly
     ///   positive (the matrix is indefinite or singular).
     pub fn new(a: &Matrix) -> Result<Self> {
+        let mut chol = Cholesky::default();
+        chol.refactor(a)?;
+        Ok(chol)
+    }
+
+    /// Factorises `a` into this factor's storage, reusing its allocation
+    /// when the dimension is unchanged — the hot loop that factors one
+    /// small matrix after another allocates nothing per factor. Starts
+    /// from [`Cholesky::default`] (an empty factor) or any earlier one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::new`]. On error the factor is left empty (as
+    /// [`Cholesky::default`]), so every later solve fails with
+    /// [`LinalgError::DimensionMismatch`] until a refactor succeeds.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
         bmf_obs::counters::CHOLESKY_CALLS.incr();
         let _timer = bmf_obs::histograms::CHOLESKY_NS.timer();
+        let result = self.factor_into(a);
+        if result.is_err() {
+            self.l = Matrix::default();
+        }
+        result
+    }
+
+    /// The elimination behind [`Cholesky::refactor`]; on error `self.l`
+    /// holds a partial factor.
+    fn factor_into(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
@@ -51,7 +77,10 @@ impl Cholesky {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        let mut l = Matrix::zeros(n, n);
+        let l = &mut self.l;
+        if l.shape() != (n, n) {
+            *l = Matrix::zeros(n, n);
+        }
         for j in 0..n {
             let mut diag = a[(j, j)];
             for k in 0..j {
@@ -73,7 +102,7 @@ impl Cholesky {
                 l[(i, j)] = s / ljj;
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
     }
 
     /// Dimension of the factorised matrix.
@@ -110,6 +139,18 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when `b.len() != dim()`.
     pub fn solve_lower(&self, b: &Vector) -> Result<Vector> {
+        let mut y = b.clone();
+        self.solve_lower_in_place(y.as_mut_slice())?;
+        Ok(y)
+    }
+
+    /// Solves `L y = b` in place: `b` is overwritten with `y`, so a
+    /// caller that solves many right-hand sides allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] when `b.len() != dim()`.
+    pub fn solve_lower_in_place(&self, b: &mut [f64]) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -118,15 +159,16 @@ impl Cholesky {
                 rhs: (b.len(), 1),
             });
         }
-        let mut y = Vector::zeros(n);
         for i in 0..n {
-            let mut s = b[i];
-            for k in 0..i {
-                s -= self.l[(i, k)] * y[k];
+            let (solved, rest) = b.split_at_mut(i);
+            let row = self.l.row(i);
+            let mut s = rest[0];
+            for (lik, yk) in row[..i].iter().zip(solved.iter()) {
+                s -= lik * yk;
             }
-            y[i] = s / self.l[(i, i)];
+            rest[0] = s / row[i];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Solves `Lᵀ x = y` (backward substitution).
@@ -221,93 +263,6 @@ impl Cholesky {
         let diff = x - mu;
         let y = self.solve_lower(&diff)?;
         Ok(y.dot(&y).expect("same length by construction"))
-    }
-
-    /// Factorisation of the rank-one update `A + v vᵀ` in O(d²), reusing
-    /// this factor instead of refactorising from scratch (O(d³)).
-    ///
-    /// This is the hot-path primitive behind the CV fast scorer: across
-    /// the κ₀ axis of the hyper-parameter grid the posterior inverse
-    /// scale changes only by a scalar-weighted outer product of the
-    /// prior–data mean gap, so each candidate is one rank-one update of
-    /// a per-fold base factor. The algorithm is the classical LINPACK
-    /// `dchud` sweep of Givens-like rotations applied to the rows of `L`.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] when `v.len() != dim()`.
-    /// * [`LinalgError::NotPositiveDefinite`] when the updated pivot is
-    ///   not finite (overflow from extreme inputs; a true update of an
-    ///   SPD matrix cannot lose definiteness).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bmf_linalg::{Cholesky, Matrix, Vector};
-    ///
-    /// # fn main() -> Result<(), bmf_linalg::LinalgError> {
-    /// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])?;
-    /// let v = Vector::from_slice(&[1.0, -2.0]);
-    /// let fast = Cholesky::new(&a)?.rank1_update(&v)?;
-    /// let mut updated = a.clone();
-    /// updated += &Matrix::outer(&v);
-    /// let direct = Cholesky::new(&updated)?;
-    /// assert!(fast.factor().max_abs_diff(direct.factor())? < 1e-12);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn rank1_update(&self, v: &Vector) -> Result<Cholesky> {
-        bmf_obs::counters::CHOLESKY_RANK1_UPDATES.incr();
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "rank1_update",
-                lhs: (n, n),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut l = self.l.clone();
-        let mut x = v.clone();
-        for k in 0..n {
-            let lkk = l[(k, k)];
-            let xk = x[k];
-            let r = lkk.hypot(xk);
-            if !(r > 0.0) || !r.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: k, value: r });
-            }
-            let c = r / lkk;
-            let s = xk / lkk;
-            l[(k, k)] = r;
-            for i in (k + 1)..n {
-                l[(i, k)] = (l[(i, k)] + s * x[i]) / c;
-                x[i] = c * x[i] - s * l[(i, k)];
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Factorisation of the scaled matrix `α A` in O(d²): the factor of
-    /// `α A` is `√α L`, so no refactorisation is needed.
-    ///
-    /// Together with [`Cholesky::rank1_update`] this covers the CV grid's
-    /// rank structure: across the ν₀ axis the MAP covariance is a
-    /// scalar-rescaled version of the posterior inverse scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotPositiveDefinite`] when `α` is not
-    /// strictly positive and finite (the scaled matrix would not be SPD).
-    pub fn scaled(&self, alpha: f64) -> Result<Cholesky> {
-        if !(alpha > 0.0) || !alpha.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite {
-                pivot: 0,
-                value: alpha,
-            });
-        }
-        let root = alpha.sqrt();
-        Ok(Cholesky {
-            l: self.l.map(|x| x * root),
-        })
     }
 
     /// Applies the colouring transform `L z` (maps white noise to noise with
@@ -475,60 +430,38 @@ mod tests {
     }
 
     #[test]
-    fn rank1_update_matches_direct_refactorisation() {
+    fn refactor_reuses_storage_and_matches_new() {
+        let mut chol = Cholesky::default();
+        assert_eq!(chol.dim(), 0);
         let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        for v in [
-            Vector::from_slice(&[1.0, -2.0, 0.5]),
-            Vector::from_slice(&[0.0, 0.0, 0.0]),
-            Vector::from_slice(&[1e3, -1e3, 1e3]),
-        ] {
-            let fast = chol.rank1_update(&v).unwrap();
-            let mut updated = a.clone();
-            updated += &Matrix::outer(&v);
-            let direct = Cholesky::new(&updated).unwrap();
-            assert!(
-                fast.factor().max_abs_diff(direct.factor()).unwrap() < 1e-9,
-                "v = {v}"
-            );
-            // ln_det and solves agree too (what the CV scorer consumes).
-            assert!((fast.ln_det() - direct.ln_det()).abs() < 1e-10);
-            let b = Vector::from_slice(&[1.0, 2.0, 3.0]);
-            let xf = fast.solve_vec(&b).unwrap();
-            let xd = direct.solve_vec(&b).unwrap();
-            assert!(xf.max_abs_diff(&xd).unwrap() < 1e-10);
-        }
-        assert!(chol.rank1_update(&Vector::zeros(2)).is_err());
-    }
-
-    #[test]
-    fn rank1_update_rejects_non_finite_overflow() {
-        let a = Matrix::identity(2);
-        let chol = Cholesky::new(&a).unwrap();
-        let huge = Vector::from_slice(&[f64::MAX, f64::MAX]);
+        chol.refactor(&a).unwrap();
+        assert_eq!(chol.factor(), Cholesky::new(&a).unwrap().factor());
+        // A failed factor is replaced by the next good one, and a change
+        // of dimension reshapes the storage.
+        assert!(chol
+            .refactor(&Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap())
+            .is_err());
+        assert_eq!(chol.dim(), 0);
         assert!(matches!(
-            chol.rank1_update(&huge),
-            Err(LinalgError::NotPositiveDefinite { .. })
+            chol.solve_vec(&Vector::from_slice(&[1.0, 2.0])),
+            Err(LinalgError::DimensionMismatch { .. })
         ));
+        let b = &a * 2.5;
+        chol.refactor(&b).unwrap();
+        assert_eq!(chol.factor(), Cholesky::new(&b).unwrap().factor());
+        let one = Matrix::from_rows(&[&[4.0]]).unwrap();
+        chol.refactor(&one).unwrap();
+        assert_eq!(chol.factor()[(0, 0)], 2.0);
     }
 
     #[test]
-    fn scaled_factor_matches_direct_refactorisation() {
-        let a = spd3();
-        let chol = Cholesky::new(&a).unwrap();
-        for alpha in [0.25, 1.0, 17.5, 1e-8] {
-            let fast = chol.scaled(alpha).unwrap();
-            let direct = Cholesky::new(&(&a * alpha)).unwrap();
-            assert!(
-                fast.factor().max_abs_diff(direct.factor()).unwrap() < 1e-9,
-                "alpha = {alpha}"
-            );
-            assert!((fast.ln_det() - direct.ln_det()).abs() < 1e-9);
-        }
-        assert!(chol.scaled(0.0).is_err());
-        assert!(chol.scaled(-1.0).is_err());
-        assert!(chol.scaled(f64::NAN).is_err());
-        assert!(chol.scaled(f64::INFINITY).is_err());
+    fn solve_lower_in_place_matches_solve_lower() {
+        let chol = Cholesky::new(&spd3()).unwrap();
+        let b = Vector::from_slice(&[1.0, -2.0, 0.5]);
+        let mut y = b.clone().into_vec();
+        chol.solve_lower_in_place(&mut y).unwrap();
+        assert_eq!(y, chol.solve_lower(&b).unwrap().into_vec());
+        assert!(chol.solve_lower_in_place(&mut [1.0]).is_err());
     }
 
     #[test]

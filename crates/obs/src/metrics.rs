@@ -19,6 +19,7 @@ use std::time::Instant;
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
+    calls: AtomicU64,
 }
 
 impl Counter {
@@ -27,6 +28,7 @@ impl Counter {
         Counter {
             name,
             value: AtomicU64::new(0),
+            calls: AtomicU64::new(0),
         }
     }
 
@@ -40,6 +42,7 @@ impl Counter {
     pub fn add(&self, n: u64) {
         if crate::is_enabled() {
             self.value.fetch_add(n, Ordering::Relaxed);
+            self.calls.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -54,8 +57,17 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
+    /// How many [`Counter::add`]/[`Counter::incr`] calls recorded into
+    /// this counter: `add(k)` counts once however large `k` is. This is
+    /// the number of times a disabled recorder would take the
+    /// load-and-branch fast path.
+    pub fn calls(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
+    }
+
     fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
+        self.calls.store(0, Ordering::Relaxed);
     }
 }
 
@@ -316,8 +328,6 @@ pub mod counters {
     pub static CHOLESKY_CALLS: Counter = Counter::new("cholesky.calls");
     /// Factorizations that needed the SPD repair ladder.
     pub static CHOLESKY_REPAIRS: Counter = Counter::new("cholesky.repairs");
-    /// O(d²) rank-one factor updates (`Cholesky::rank1_update`).
-    pub static CHOLESKY_RANK1_UPDATES: Counter = Counter::new("cholesky.rank1_updates");
     /// Symmetric eigendecompositions (`SymmetricEigen::new`).
     pub static EIGEN_CALLS: Counter = Counter::new("eigen.calls");
     /// Total Jacobi sweeps across all eigendecompositions.
@@ -355,12 +365,11 @@ pub mod counters {
     /// Packets rejected by a merge (corrupt, incompatible, invalid).
     pub static SHARD_REJECTS: Counter = Counter::new("shard.rejects");
 
-    static ALL: [&Counter; 22] = [
+    static ALL: [&Counter; 21] = [
         &MONTE_CARLO_SIMS,
         &MONTE_CARLO_RETRIES,
         &CHOLESKY_CALLS,
         &CHOLESKY_REPAIRS,
-        &CHOLESKY_RANK1_UPDATES,
         &EIGEN_CALLS,
         &EIGEN_SWEEPS,
         &CV_CANDIDATES,
@@ -461,7 +470,22 @@ mod tests {
         counters::MONTE_CARLO_SIMS.incr();
         counters::MONTE_CARLO_SIMS.add(41);
         assert_eq!(counters::MONTE_CARLO_SIMS.get(), 0);
+        assert_eq!(counters::MONTE_CARLO_SIMS.calls(), 0);
         crate::reset();
+    }
+
+    #[test]
+    fn calls_count_each_add_once() {
+        let _g = test_lock();
+        crate::reset();
+        crate::enable();
+        counters::MONTE_CARLO_SIMS.add(41);
+        counters::MONTE_CARLO_SIMS.incr();
+        crate::disable();
+        assert_eq!(counters::MONTE_CARLO_SIMS.get(), 42);
+        assert_eq!(counters::MONTE_CARLO_SIMS.calls(), 2);
+        crate::reset();
+        assert_eq!(counters::MONTE_CARLO_SIMS.calls(), 0);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! * [`derive_seed`] — mixes `(root, stream, index)` into a task seed;
 //! * [`scoped_map`] / [`scoped_map_range`] — run an indexed map over
-//!   `std::thread::scope` workers, returning results in task order and
-//!   converting worker panics into a [`WorkerPanic`] error instead of
-//!   aborting the caller;
+//!   `std::thread::scope` workers (inline on the caller when one worker
+//!   suffices), returning results in task order and converting worker
+//!   panics into a [`WorkerPanic`] error instead of aborting the caller;
 //! * [`available_threads`] / [`resolve_threads`] — the `--threads`
 //!   default policy shared by every binary.
 //!
@@ -93,10 +93,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// worker threads and returns the results in index order.
 ///
 /// Task `i` runs on worker `i % threads`; `threads` is clamped to
-/// `[1, len]` so requesting more workers than tasks (or 0) is safe. Even
-/// with one effective worker the tasks run on a scoped thread, so the
-/// panic-containment contract below holds uniformly at every thread
-/// count.
+/// `[1, len]` so requesting more workers than tasks (or 0) is safe. With
+/// one effective worker the tasks run inline on the calling thread —
+/// spawning a thread costs tens of microseconds, far more than many
+/// small maps — under the same `parallel.worker` span and with the
+/// same panic containment, so the contract below holds uniformly at
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -109,6 +111,26 @@ where
     F: Fn(usize) -> U + Sync,
 {
     let threads = threads.clamp(1, len.max(1));
+    // One worker's share, tasks `worker, worker + threads, …`. Both the
+    // inline and the spawned path run this one body, so `f` keeps a
+    // single call site; a second one measurably slowed the spawned
+    // workers of the Monte Carlo loop.
+    let share = |worker: usize| -> Vec<(usize, U)> {
+        (worker..len).step_by(threads).map(|i| (i, f(i))).collect()
+    };
+    if threads == 1 {
+        // `f` only borrows what the caller lent it, and a panic discards
+        // the partial results, so no broken state is observable.
+        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _span = bmf_obs::span("parallel.worker");
+            share(0)
+        }))
+        .map(|pairs| pairs.into_iter().map(|(_, value)| value).collect())
+        .map_err(|payload| WorkerPanic {
+            worker: 0,
+            message: panic_message(payload.as_ref()),
+        });
+    }
     let mut slots: Vec<Option<U>> = Vec::with_capacity(len);
     slots.resize_with(len, || None);
     let mut first_panic: Option<WorkerPanic> = None;
@@ -117,17 +139,14 @@ where
     let fork = bmf_obs::span::fork();
 
     std::thread::scope(|scope| {
-        let (f, fork) = (&f, &fork);
+        let (share, fork) = (&share, &fork);
         let handles: Vec<_> = (0..threads)
             .map(|worker| {
                 scope.spawn(move || {
                     // Worker span closes before the thread exits, so its
                     // event rides the TLS-buffer merge at scope join.
                     let _span = fork.span("parallel.worker");
-                    (worker..len)
-                        .step_by(threads)
-                        .map(|i| (i, f(i)))
-                        .collect::<Vec<(usize, U)>>()
+                    share(worker)
                 })
             })
             .collect();
@@ -165,10 +184,10 @@ where
 /// outer index, each group in inner order.
 ///
 /// This is the fine-grained work split for stages whose outer axis alone
-/// is too coarse to occupy the workers — e.g. a small CV candidate grid
-/// (outer) times its fold-assignment repeats (inner): splitting only over
-/// candidates strands workers whenever `outer_len < threads` or the
-/// per-candidate cost is uneven, while the flattened product keeps every
+/// is too coarse to occupy the workers — e.g. a CV search's
+/// fold-assignment repeats (outer) times their folds (inner): splitting
+/// only over the outer axis strands workers whenever `outer_len < threads`
+/// or the per-item cost is uneven, while the flattened product keeps every
 /// worker busy. Scheduling stays deterministic (round-robin over the
 /// flattened index) and the grouping restores a stable reduction order:
 /// callers combine each group's inner results in inner order, so the
@@ -305,14 +324,32 @@ mod tests {
 
     #[test]
     fn single_thread_panics_are_contained_too() {
-        let out = scoped_map_range(5, 1, |i| i + 1).unwrap();
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
+        // One worker runs inline: on the caller's thread, in task order,
+        // and a panic still comes back as an error instead of unwinding
+        // into the caller.
+        let caller = std::thread::current().id();
+        for threads in [0, 1] {
+            let out =
+                scoped_map_range(5, threads, |i| (i + 1, std::thread::current().id())).unwrap();
+            assert_eq!(
+                out.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
+                vec![1, 2, 3, 4, 5]
+            );
+            assert!(
+                out.iter().all(|&(_, id)| id == caller),
+                "threads = {threads}"
+            );
+        }
+        // One task resolves to one worker whatever the request.
+        let one = scoped_map_range(1, 8, |_| std::thread::current().id()).unwrap();
+        assert_eq!(one, vec![caller]);
         let err = scoped_map_range(5, 1, |i| {
             assert!(i != 4, "boom");
             i
         })
         .unwrap_err();
         assert_eq!(err.worker, 0);
+        assert!(err.message.contains("boom"), "{err}");
     }
 
     #[test]
